@@ -241,11 +241,14 @@ fn main() {
                 let mut i = 0u64;
                 while !clients_done.load(Ordering::Acquire) {
                     // Insert-then-delete on a bench-local predicate: the
-                    // epoch advances and caches invalidate, but no LUBM
-                    // answer changes.
+                    // version advances and caches invalidate, but no LUBM
+                    // answer changes. Apply `i` and `i + 1` share triple
+                    // `k`, so every DELETE removes what the INSERT before
+                    // it added and every APPLY changes the store.
+                    let k = i / 2;
                     let triple = format!(
-                        "<http://bench.local/s{i}> <http://bench.local/touched> \
-                         <http://bench.local/o{i}> ."
+                        "<http://bench.local/s{k}> <http://bench.local/touched> \
+                         <http://bench.local/o{k}> ."
                     );
                     let verb = if i.is_multiple_of(2) { "INSERT" } else { "DELETE" };
                     let ok = client.send(&format!("{verb} {triple}")).expect("stage op");

@@ -1,5 +1,6 @@
-//! The trie catalog: loads vertically partitioned predicate tables as
-//! tries in the orders the plan needs, with caching.
+//! The trie catalog of one committed store version: the store's
+//! vertically partitioned predicate tables served as tries in the orders
+//! the plan needs, built lazily and cached.
 //!
 //! A trie over one attribute order is "analogous to a single index in a
 //! standard database" (paper §III-A); the catalog is therefore the
@@ -12,8 +13,8 @@
 //!
 //! The store hash-partitions subjects into `P` shards, each owning its
 //! own `PairTable`s and staged deltas; the catalog mirrors that layout
-//! one level down: every cache key carries the shard, so each shard's
-//! trie freezes into its own contiguous arena and a shard-local
+//! one level down: every cell belongs to one (predicate, shard), so each
+//! shard's trie freezes into its own contiguous arena and a shard-local
 //! compaction retires exactly one shard's tries. [`Catalog::relation`]
 //! assembles the executor's view: at `P = 1` (or when only one shard
 //! holds the predicate) a single operand, byte-identical to the
@@ -23,69 +24,62 @@
 //!
 //! ## Ownership and mutation
 //!
-//! The catalog co-owns its [`SharedStore`]: queries and updates share one
-//! store behind a `RwLock`, and the catalog's job is keeping its tries
-//! consistent with whatever that store currently holds. After a mutation,
-//! [`Catalog::refresh_after_update`] retires exactly the changed
-//! (predicate, shard) pairs' tries (untouched shards keep theirs),
-//! advances the epoch, and rebuilds the previously cached orders
-//! concurrently on the runtime's workers. Layers that cache *derived*
-//! artifacts (a serving tier's result cache) key them by
-//! [`Catalog::epoch`] so every retired state is unreachable at once.
+//! A `Catalog` is **one immutable store version**: an
+//! `Arc<TripleStore>` that never changes, a sequence number, and
+//! `OnceLock` cells for every (predicate, shard) trie order and layout,
+//! delta overlay and union root. Nothing in it is ever invalidated. A
+//! commit builds the *next* version ([`SharedStore`](crate::SharedStore)
+//! publishes it with one pointer swap); cells whose base table or delta
+//! is the very same `Arc` as in the previous version are shared with it,
+//! so an untouched (predicate, shard) keeps its tries, a staged delta
+//! gets fresh overlay cells over the surviving base tries, and a
+//! compacted shard gets fresh trie cells. Layers that cache *derived*
+//! artifacts (a serving tier's result and plan caches) key them by
+//! [`Catalog::seq`].
 //!
 //! ## Concurrency
 //!
-//! The cache is shared-state concurrent: tries live behind `Arc` and the
-//! map behind an `RwLock`, so the parallel runtime can both *read* tries
-//! from many worker threads during join execution and *build* distinct
-//! tries concurrently during [`Engine::warm`](crate::Engine::warm) — all
-//! through `&self`. Construction happens outside the lock; when two
-//! workers race to build the same trie, the first insert wins and both
-//! end up sharing one copy. Because construction is outside the lock, a
-//! build can race with an invalidation — publication therefore re-checks
-//! the epoch under the cache's write lock (the epoch only mutates under
-//! that lock) and rebuilds instead of inserting a trie made from retired
-//! data.
+//! A query pins one version for its whole life, so every trie, overlay
+//! and cardinality it sees comes from the same committed state — no
+//! epoch checks, no retries. Cells fill through `&self` from any thread:
+//! the parallel runtime reads tries from many workers during a join and
+//! builds distinct tries concurrently during
+//! [`Engine::warm`](crate::Engine::warm); two workers asking for the
+//! same cell share one build.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use eh_par::RuntimeConfig;
 use eh_query::Atom;
-use eh_rdf::PredDelta;
+use eh_rdf::{PredDelta, TripleStore};
 use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy, TupleBuffer};
 
-use crate::shared::SharedStore;
+use crate::shared::StoreRef;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TrieKey {
-    pred: u32,
-    shard: usize,
-    subject_first: bool,
-    auto_layout: bool,
+/// Base-trie cells of one (predicate, shard), indexed by [`trie_slot`].
+type TrieCells = [OnceLock<Arc<FrozenTrie>>; 4];
+
+/// Overlay cells of one (predicate, shard) delta, indexed by order.
+/// Overlays are layout-independent — their sets stay in the uint layout
+/// and the kernels intersect mixed layouts anyway.
+type OverlayCells = [OnceLock<Arc<DeltaOverlay>>; 2];
+
+/// Union-root cells of one predicate, indexed by order: the merged root
+/// domain across shards is a plain value set, independent of layout.
+type RootCells = [OnceLock<Arc<Vec<u32>>>; 2];
+
+fn trie_slot(subject_first: bool, auto_layout: bool) -> usize {
+    usize::from(subject_first) * 2 + usize::from(auto_layout)
 }
 
-/// Overlay cache key: `(predicate, subject_first, shard)`. Overlays are
-/// layout-independent — their sets stay in the uint layout and the
-/// kernels intersect mixed layouts anyway — so both layout modes share
-/// one entry per (order, shard).
-type OverlayKey = (u32, bool, usize);
-
-/// Union-root cache key: `(predicate, subject_first)`. The merged root
-/// domain across shards is a plain value set, independent of layout.
-type UnionKey = (u32, bool);
-
-/// All cache maps behind one lock: the epoch-recheck publication
-/// protocol requires the epoch to mutate only under this lock, and
-/// splitting the maps across several locks would force an ordering
-/// discipline for no gain (overlay and union-root construction are
-/// O(delta) / O(roots), never the bottleneck).
-#[derive(Default)]
-struct CacheMaps {
-    tries: HashMap<TrieKey, Arc<FrozenTrie>>,
-    overlays: HashMap<OverlayKey, Arc<DeltaOverlay>>,
-    unions: HashMap<UnionKey, Arc<Vec<u32>>>,
+/// One base trie a new version should rebuild eagerly: a cell the
+/// previous version had filled for a (predicate, shard) whose base table
+/// changed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HotOrder {
+    pred: u32,
+    shard: usize,
+    slot: usize,
 }
 
 /// One shard's contribution to a partitioned relation: its frozen trie
@@ -111,113 +105,130 @@ pub(crate) enum RelOperands {
     Sharded { ops: Vec<ShardOperand>, union_root: Arc<Vec<u32>> },
 }
 
-/// Trie provider over a [`SharedStore`]. Every trie it serves is a
-/// [`FrozenTrie`] — one contiguous arena per (predicate, shard, order,
-/// layout) — whether it was built from the live store or preloaded from
-/// a snapshot ([`Catalog::preload`]). An update *thaws* only the changed
-/// (predicate, shard) pairs: their frozen tries are retired and rebuilt
-/// from the mutable store through [`Catalog::refresh_after_update`],
-/// exactly like any cache miss.
+/// The shared empty trie absent predicates and emptied tables resolve to.
+fn empty_trie() -> Arc<FrozenTrie> {
+    static EMPTY: OnceLock<Arc<FrozenTrie>> = OnceLock::new();
+    Arc::clone(
+        EMPTY.get_or_init(|| Arc::new(FrozenTrie::build(TupleBuffer::new(2), LayoutPolicy::Auto))),
+    )
+}
+
+/// One committed store version and its lazily built tries. Every trie
+/// it serves is a [`FrozenTrie`] — one contiguous arena per (predicate,
+/// shard, order, layout) — whether built from the store's tables or
+/// preloaded from a snapshot.
 pub struct Catalog {
-    store: SharedStore,
-    cache: RwLock<CacheMaps>,
-    empty: Arc<FrozenTrie>,
-    /// Monotonic version of the catalog's contents. Advanced by
-    /// [`Catalog::invalidate`] / [`Catalog::refresh_after_update`], and
-    /// only ever mutated while the `cache` write lock is held — that is
-    /// what makes the publish-time epoch re-check in [`Catalog::obtain`]
-    /// race-free.
-    epoch: AtomicU64,
-    /// The [`SharedStore::version`] this catalog last synchronised with.
-    /// Several engines can share one store; only the updating engine's
-    /// catalog gets the precise per-predicate refresh, so every other
-    /// catalog detects the skew here and retires *all* of its tries (it
-    /// cannot know which predicates the foreign update touched). Mutated
-    /// only under the `cache` write lock, like `epoch`.
-    synced_version: AtomicU64,
+    seq: u64,
+    store: Arc<TripleStore>,
+    tries: HashMap<(u32, usize), Arc<TrieCells>>,
+    overlays: HashMap<(u32, usize), Arc<OverlayCells>>,
+    roots: HashMap<u32, Arc<RootCells>>,
 }
 
 impl Catalog {
-    /// A catalog over `store`.
-    pub fn new(store: SharedStore) -> Catalog {
-        let synced_version = AtomicU64::new(store.version());
-        Catalog {
-            store,
-            cache: RwLock::new(CacheMaps::default()),
-            empty: Arc::new(FrozenTrie::build(TupleBuffer::new(2), LayoutPolicy::Auto)),
-            epoch: AtomicU64::new(0),
-            synced_version,
+    /// Version `seq` of `store` with every cell empty.
+    pub(crate) fn new(seq: u64, store: Arc<TripleStore>) -> Catalog {
+        let mut tries = HashMap::new();
+        let mut overlays = HashMap::new();
+        let mut roots = HashMap::new();
+        for shard in 0..store.partitions() {
+            for table in store.shard_tables(shard) {
+                let key = (table.pred(), shard);
+                tries.insert(key, Arc::default());
+                if store.shard_delta(shard, table.pred()).is_some() {
+                    overlays.insert(key, Arc::default());
+                }
+                roots.entry(table.pred()).or_insert_with(Arc::default);
+            }
         }
+        Catalog { seq, store, tries, overlays, roots }
     }
 
-    /// The current catalog epoch (see the field docs). Reading the epoch
-    /// first synchronises with the store version, so a foreign engine's
-    /// update is observed — as a full invalidation — no later than the
-    /// next epoch read.
-    pub fn epoch(&self) -> u64 {
-        self.sync_with_store();
-        self.epoch.load(Ordering::Acquire)
+    /// The version after `self`, over `store` (a modified clone of this
+    /// version's store). Cells carry over wherever the base table or
+    /// delta behind them is the same `Arc` as here; the rest start
+    /// empty. Also returns the base tries this version had built whose
+    /// tables changed — the hot orders worth rebuilding eagerly.
+    pub(crate) fn successor(&self, store: TripleStore) -> (Catalog, Vec<HotOrder>) {
+        let mut next = Catalog::new(self.seq + 1, Arc::new(store));
+        let mut hot = Vec::new();
+        if next.store.partitions() != self.store.partitions() {
+            return (next, hot);
+        }
+        let mut changed: HashSet<u32> = HashSet::new();
+        for shard in 0..next.store.partitions() {
+            for table in next.store.shard_tables(shard) {
+                let (pred, key) = (table.pred(), (table.pred(), shard));
+                let same_base =
+                    self.store.shard_table(shard, pred).is_some_and(|t| std::ptr::eq(t, &**table));
+                if same_base {
+                    next.tries.insert(key, Arc::clone(&self.tries[&key]));
+                } else if let Some(cells) = self.tries.get(&key) {
+                    hot.extend(
+                        (0..4).filter(|&slot| cells[slot].get().is_some()).map(|slot| HotOrder {
+                            pred,
+                            shard,
+                            slot,
+                        }),
+                    );
+                }
+                let same_delta = match (
+                    self.store.shard_delta(shard, pred),
+                    next.store.shard_delta(shard, pred),
+                ) {
+                    (Some(a), Some(b)) => std::ptr::eq(a, b),
+                    (None, None) => true,
+                    _ => false,
+                };
+                if same_delta {
+                    if let Some(cells) = self.overlays.get(&key) {
+                        next.overlays.insert(key, Arc::clone(cells));
+                    }
+                }
+                if !(same_base && same_delta) {
+                    changed.insert(pred);
+                }
+            }
+        }
+        for (pred, cells) in next.roots.iter_mut() {
+            match self.roots.get(pred) {
+                Some(old) if !changed.contains(pred) => *cells = Arc::clone(old),
+                _ => {}
+            }
+        }
+        (next, hot)
+    }
+
+    /// The next version of the same store with every cell empty.
+    pub(crate) fn emptied(&self) -> Catalog {
+        Catalog::new(self.seq + 1, Arc::clone(&self.store))
+    }
+
+    /// Build one [`HotOrder`] returned by [`Catalog::successor`].
+    pub(crate) fn rebuild(&self, hot: HotOrder) {
+        self.base(hot.pred, hot.shard, hot.slot);
+    }
+
+    /// This version's sequence number: 0 for the first version of a
+    /// store, +1 per committed change (or invalidation). It is what the
+    /// serving tier reports as `epoch=` and keys its caches by.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The committed store this version serves.
+    pub fn store(&self) -> &TripleStore {
+        &self.store
+    }
+
+    /// A handle on this version's store that outlives the borrow.
+    pub(crate) fn store_ref(&self) -> StoreRef {
+        StoreRef(Arc::clone(&self.store))
     }
 
     /// Number of subject-hash shards in the underlying store.
     pub fn partitions(&self) -> usize {
-        self.store.read().partitions()
-    }
-
-    /// Catch up with updates applied through *other* engines over the
-    /// same store: when the store version moved past the one this catalog
-    /// last synchronised with, drop every trie and advance the epoch.
-    /// (The updating engine's own catalog is kept in step by
-    /// [`Catalog::refresh_after_update`], which records the version it
-    /// covered.)
-    fn sync_with_store(&self) {
-        if self.synced_version.load(Ordering::Acquire) == self.store.version() {
-            return;
-        }
-        let mut cache = self.cache.write().expect("catalog lock poisoned");
-        let version = self.store.version();
-        if self.synced_version.load(Ordering::Acquire) == version {
-            return;
-        }
-        cache.tries.clear();
-        cache.overlays.clear();
-        cache.unions.clear();
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.synced_version.store(version, Ordering::Release);
-    }
-
-    /// Claim store version `version` as covered by this catalog's *own*
-    /// in-flight update, before the store write lock is released: the
-    /// precise [`Catalog::refresh_after_update`] that follows will retire
-    /// exactly the changed (predicate, shard) pairs, so readers racing
-    /// into the gap must not treat the version skew as a foreign update
-    /// and full-invalidate (which would throw away every untouched
-    /// predicate's trie).
-    pub(crate) fn claim_version(&self, version: u64) {
-        // Under the cache lock purely to keep the invariant that
-        // `synced_version` mutates only there.
-        let _cache = self.cache.write().expect("catalog lock poisoned");
-        self.synced_version.fetch_max(version, Ordering::AcqRel);
-    }
-
-    /// Drop every cached trie and advance the epoch, forcing downstream
-    /// caches keyed by `(query, epoch)` to miss. Tries rebuild lazily on
-    /// the next access.
-    pub fn invalidate(&self) -> u64 {
-        let mut cache = self.cache.write().expect("catalog lock poisoned");
-        cache.tries.clear();
-        cache.overlays.clear();
-        cache.unions.clear();
-        // A full clear also covers any store version we had not yet
-        // synchronised with — record that so the next epoch read does not
-        // invalidate a second time.
-        self.synced_version.fetch_max(self.store.version(), Ordering::AcqRel);
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The store handle this catalog indexes.
-    pub fn store(&self) -> &SharedStore {
-        &self.store
+        self.store.partitions()
     }
 
     /// The trie for `atom`'s predicate table in the given column order —
@@ -229,30 +240,10 @@ impl Catalog {
     /// ill-defined there — use [`Catalog::relation`].
     pub fn trie(&self, atom: &Atom, subject_first: bool, auto_layout: bool) -> Arc<FrozenTrie> {
         assert_eq!(self.partitions(), 1, "partitioned catalog: use relation()");
-        let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
-            return Arc::clone(&self.empty);
-        };
-        let key = TrieKey { pred, shard: 0, subject_first, auto_layout };
-        self.obtain(key, &|| {})
-    }
-
-    /// Test hook: like [`Catalog::trie`], but runs `window` between
-    /// building a trie and publishing it — the exact window in which a
-    /// concurrent invalidation used to be able to slip a stale trie into
-    /// a freshly cleared cache. Kept public (hidden) so the regression
-    /// test can drive the interleaving deterministically.
-    #[doc(hidden)]
-    pub fn trie_with_publish_window(
-        &self,
-        atom: &Atom,
-        subject_first: bool,
-        auto_layout: bool,
-        window: &dyn Fn(),
-    ) -> Arc<FrozenTrie> {
-        let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
-            return Arc::clone(&self.empty);
-        };
-        self.obtain(TrieKey { pred, shard: 0, subject_first, auto_layout }, window)
+        match self.store.resolve_iri(&atom.relation) {
+            Some(pred) => self.base(pred, 0, trie_slot(subject_first, auto_layout)),
+            None => empty_trie(),
+        }
     }
 
     /// Build (or fetch) one shard's trie for `atom` — the warm path's
@@ -265,98 +256,49 @@ impl Catalog {
         auto_layout: bool,
         shard: usize,
     ) {
-        if let Some(pred) = self.store.read().resolve_iri(&atom.relation) {
-            self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
+        if let Some(pred) = self.store.resolve_iri(&atom.relation) {
+            self.base(pred, shard, trie_slot(subject_first, auto_layout));
         }
     }
 
-    /// Cached-or-built trie for `key`, with race-safe publication:
-    ///
-    /// 1. fast path — return a cached trie;
-    /// 2. record the epoch, then build from the store *outside* any
-    ///    catalog lock (concurrent warm-up builds distinct tries in
-    ///    parallel instead of serialising on the map);
-    /// 3. publish under the cache write lock **only if the epoch is
-    ///    unchanged** — an invalidation between (2) and (3) means the
-    ///    build may have read retired data, so the loop rebuilds.
-    ///
-    /// Without step 3's re-check, a build racing an invalidation could
-    /// insert a pre-invalidation trie into the cleared cache and serve it
-    /// under the new epoch indefinitely.
-    fn obtain(&self, key: TrieKey, window: &dyn Fn()) -> Arc<FrozenTrie> {
-        // The hook models a single racing invalidation, injected into the
-        // first build's publish window; it must not re-fire on the retry
-        // or the retry can never settle.
-        let mut window = Some(window);
-        loop {
-            self.sync_with_store();
-            if let Some(t) = self.cache.read().expect("catalog lock poisoned").tries.get(&key) {
-                return Arc::clone(t);
-            }
-            let epoch = self.epoch.load(Ordering::Acquire);
-            let Some(trie) = self.build(key) else {
-                return Arc::clone(&self.empty);
-            };
-            if let Some(w) = window.take() {
-                w();
-            }
-            let mut cache = self.cache.write().expect("catalog lock poisoned");
-            // Raw load, NOT self.epoch(): epoch() runs sync_with_store,
-            // which may re-acquire the cache write lock held right here —
-            // std's RwLock is non-reentrant, so that would self-deadlock.
-            // A version skew at this point is fine to publish through: the
-            // next sync (no later than the next epoch read) retires it.
-            if self.epoch.load(Ordering::Acquire) == epoch {
-                return Arc::clone(cache.tries.entry(key).or_insert(trie));
-            }
-            // Epoch moved while building: the data this trie was built
-            // from may be gone. Drop it and start over.
+    /// The cached-or-built base trie of one (predicate, shard) cell slot;
+    /// the shared empty trie when the table is absent or empty.
+    fn base(&self, pred: u32, shard: usize, slot: usize) -> Arc<FrozenTrie> {
+        let (Some(table), Some(cells)) =
+            (self.store.shard_table(shard, pred), self.tries.get(&(pred, shard)))
+        else {
+            return empty_trie();
+        };
+        if table.is_empty() {
+            return empty_trie();
         }
+        let cell = cells[slot].get_or_init(|| {
+            let pairs = if slot >= 2 { table.so_pairs() } else { table.os_pairs() };
+            let policy = if slot % 2 == 1 { LayoutPolicy::Auto } else { LayoutPolicy::UintOnly };
+            Arc::new(FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy))
+        });
+        Arc::clone(cell)
     }
 
     /// The staged-delta overlay for `(pred, subject_first, shard)`, or
     /// `None` when that shard has no uncompacted delta for the predicate.
-    /// Cached with the same race-safe epoch-recheck publication as
-    /// [`Catalog::obtain`]; the delta's presence is re-read from the
-    /// store on every miss (no negative caching — a predicate without
-    /// deltas costs one map probe and one store read).
     fn overlay(&self, pred: u32, subject_first: bool, shard: usize) -> Option<Arc<DeltaOverlay>> {
-        let key: OverlayKey = (pred, subject_first, shard);
-        loop {
-            self.sync_with_store();
-            if let Some(ov) = self.cache.read().expect("catalog lock poisoned").overlays.get(&key) {
-                return Some(Arc::clone(ov));
-            }
-            let epoch = self.epoch.load(Ordering::Acquire);
-            let built = {
-                let store = self.store.read();
-                if shard >= store.partitions() {
-                    return None;
-                }
-                Arc::new(build_overlay(store.shard_delta(shard, pred)?, subject_first))
-            };
-            let mut cache = self.cache.write().expect("catalog lock poisoned");
-            // Same raw load as obtain(): epoch() would re-enter the lock.
-            if self.epoch.load(Ordering::Acquire) == epoch {
-                return Some(Arc::clone(cache.overlays.entry(key).or_insert(built)));
-            }
-        }
+        let delta = self.store.shard_delta(shard, pred)?;
+        let cells = self.overlays.get(&(pred, shard))?;
+        let overlay = cells[usize::from(subject_first)]
+            .get_or_init(|| Arc::new(build_overlay(delta, subject_first)));
+        Some(Arc::clone(overlay)).filter(|ov| !ov.is_empty())
     }
 
     /// The merged effective root domain for a partitioned relation: the
     /// union over `ops` of each shard's overlay-merged root set, sorted
-    /// unique. Cached per (predicate, order) under the same epoch-recheck
-    /// publication — retired whenever any shard of the predicate changes
-    /// (staged or compacted), since either moves some shard's effective
-    /// root.
+    /// unique. Cached per (predicate, order) for as long as no shard of
+    /// the predicate changes.
+    /// Only called with operands from two or more shards, so `pred` has
+    /// a table and therefore cells.
     fn union_root(&self, pred: u32, subject_first: bool, ops: &[ShardOperand]) -> Arc<Vec<u32>> {
-        let key: UnionKey = (pred, subject_first);
-        loop {
-            self.sync_with_store();
-            if let Some(u) = self.cache.read().expect("catalog lock poisoned").unions.get(&key) {
-                return Arc::clone(u);
-            }
-            let epoch = self.epoch.load(Ordering::Acquire);
+        let cell = &self.roots[&pred][usize::from(subject_first)];
+        Arc::clone(cell.get_or_init(|| {
             let mut root: Vec<u32> = Vec::new();
             for op in ops {
                 match &op.overlay {
@@ -369,12 +311,8 @@ impl Catalog {
             // sort + dedup restores the P = 1 root set either way.
             root.sort_unstable();
             root.dedup();
-            let built = Arc::new(root);
-            let mut cache = self.cache.write().expect("catalog lock poisoned");
-            if self.epoch.load(Ordering::Acquire) == epoch {
-                return Arc::clone(cache.unions.entry(key).or_insert(built));
-            }
-        }
+            Arc::new(root)
+        }))
     }
 
     /// One shard's full operand pair for an access path: that shard's
@@ -388,12 +326,11 @@ impl Catalog {
         auto_layout: bool,
         shard: usize,
     ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
-        let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
-            return (Arc::clone(&self.empty), None);
+        let Some(pred) = self.store.resolve_iri(&atom.relation) else {
+            return (empty_trie(), None);
         };
-        let trie = self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
-        let overlay = self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty());
-        (trie, overlay)
+        let trie = self.base(pred, shard, trie_slot(subject_first, auto_layout));
+        (trie, self.overlay(pred, subject_first, shard))
     }
 
     /// The full operand set for one access path — what the executor
@@ -407,33 +344,29 @@ impl Catalog {
         subject_first: bool,
         auto_layout: bool,
     ) -> RelOperands {
-        let (pred, partitions) = {
-            let store = self.store.read();
-            (store.resolve_iri(&atom.relation), store.partitions())
+        let Some(pred) = self.store.resolve_iri(&atom.relation) else {
+            return RelOperands::Single { trie: empty_trie(), overlay: None };
         };
-        let Some(pred) = pred else {
-            return RelOperands::Single { trie: Arc::clone(&self.empty), overlay: None };
-        };
-        if partitions == 1 {
-            let trie = self.obtain(TrieKey { pred, shard: 0, subject_first, auto_layout }, &|| {});
-            let overlay = self.overlay(pred, subject_first, 0).filter(|ov| !ov.is_empty());
-            return RelOperands::Single { trie, overlay };
+        let slot = trie_slot(subject_first, auto_layout);
+        if self.partitions() == 1 {
+            let trie = self.base(pred, 0, slot);
+            return RelOperands::Single { trie, overlay: self.overlay(pred, subject_first, 0) };
         }
         // Skip shards that hold neither base pairs nor staged novelty:
         // they contribute nothing to any set view, and dropping them here
         // is what collapses a one-shard-resident predicate back onto the
         // exact single-operand code path.
         let mut ops: Vec<ShardOperand> = Vec::new();
-        for shard in 0..partitions {
-            let trie = self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
-            let overlay = self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty());
+        for shard in 0..self.partitions() {
+            let trie = self.base(pred, shard, slot);
+            let overlay = self.overlay(pred, subject_first, shard);
             if trie.num_tuples() == 0 && overlay.is_none() {
                 continue;
             }
             ops.push(ShardOperand { trie, overlay });
         }
         match ops.len() {
-            0 => RelOperands::Single { trie: Arc::clone(&self.empty), overlay: None },
+            0 => RelOperands::Single { trie: empty_trie(), overlay: None },
             1 => {
                 let op = ops.pop().expect("checked length");
                 RelOperands::Single { trie: op.trie, overlay: op.overlay }
@@ -445,108 +378,18 @@ impl Catalog {
         }
     }
 
-    /// Build a trie for `key` from the current store contents, or `None`
-    /// when the predicate's table is absent or empty in that shard.
-    fn build(&self, key: TrieKey) -> Option<Arc<FrozenTrie>> {
-        let store = self.store.read();
-        if key.shard >= store.partitions() {
-            // A racing repartition shrank the shard count; the version
-            // bump will retire this key's world momentarily.
-            return None;
-        }
-        let table = store.shard_table(key.shard, key.pred)?;
-        let pairs = if key.subject_first { table.so_pairs() } else { table.os_pairs() };
-        if pairs.is_empty() {
-            return None;
-        }
-        let policy = if key.auto_layout { LayoutPolicy::Auto } else { LayoutPolicy::UintOnly };
-        Some(Arc::new(FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy)))
-    }
-
-    /// Seed the cache with pre-built frozen tries (auto-layout orders) —
-    /// the snapshot cold-start path: a loaded engine starts *warm*, no
-    /// trie is rebuilt until an update thaws its (predicate, shard).
-    /// Entries are inserted as given and trusted to match the store's
-    /// current shard tables (the snapshot reader validates exactly that
-    /// before handing them over). Intended for startup; entries are
-    /// published under the current epoch like any built trie.
+    /// Seed this version's cells with pre-built frozen tries
+    /// (auto-layout orders) — the snapshot cold-start path: a loaded
+    /// engine starts *warm*, no trie is rebuilt until a commit changes
+    /// its (predicate, shard). Entries are trusted to match the store's
+    /// shard tables (the snapshot reader validates exactly that before
+    /// handing them over); entries for unknown cells are ignored.
     pub fn preload(&self, entries: impl IntoIterator<Item = (u32, bool, usize, Arc<FrozenTrie>)>) {
-        let mut cache = self.cache.write().expect("catalog lock poisoned");
         for (pred, subject_first, shard, trie) in entries {
-            cache.tries.insert(TrieKey { pred, shard, subject_first, auto_layout: true }, trie);
-        }
-    }
-
-    /// The store's base tables changed under `preds` (every shard — the
-    /// eager add/remove path rebuilds all shards of a changed predicate)
-    /// at store version `version`: retire those predicates' cached tries,
-    /// advance the epoch, and eagerly rebuild the retired ("hot") orders
-    /// concurrently on `runtime`'s workers so the next query doesn't pay
-    /// the build. Untouched predicates keep their tries untouched.
-    pub fn refresh_preds(
-        &self,
-        preds: &[u32],
-        version: u64,
-        runtime: RuntimeConfig,
-    ) -> (u64, usize) {
-        let partitions = self.partitions();
-        let compacted: Vec<(u32, usize)> =
-            preds.iter().flat_map(|&p| (0..partitions).map(move |s| (p, s))).collect();
-        self.refresh_after_update(&[], &compacted, version, runtime)
-    }
-
-    /// The overlay-aware refresh behind [`Engine::update`](crate::Engine::update):
-    ///
-    /// * `staged` predicates gained or changed a delta but kept their base
-    ///   tables — their base tries **survive** (that is the whole point of
-    ///   the overlay: O(delta) apply cost), only their cached overlays
-    ///   (every shard's — overlay rebuilds are O(delta), precision buys
-    ///   nothing) and union roots are retired, rebuilt lazily from the
-    ///   store's new deltas;
-    /// * `compacted` (predicate, shard) pairs had that shard's delta
-    ///   folded into a fresh base table — exactly that shard's base tries
-    ///   retire and the previously hot orders rebuild eagerly on
-    ///   `runtime`'s workers, plus the shard's cached overlay drops (the
-    ///   delta is gone). Other shards of the same predicate keep their
-    ///   tries — the shard-local compaction contract.
-    ///
-    /// One epoch bump covers the whole batch. Returns the new epoch and
-    /// the number of base tries rebuilt.
-    pub fn refresh_after_update(
-        &self,
-        staged: &[u32],
-        compacted: &[(u32, usize)],
-        version: u64,
-        runtime: RuntimeConfig,
-    ) -> (u64, usize) {
-        let (epoch, stale) = {
-            let mut cache = self.cache.write().expect("catalog lock poisoned");
-            let stale: Vec<TrieKey> = cache
-                .tries
-                .keys()
-                .filter(|k| compacted.contains(&(k.pred, k.shard)))
-                .copied()
-                .collect();
-            for k in &stale {
-                cache.tries.remove(k);
+            if let Some(cells) = self.tries.get(&(pred, shard)) {
+                let _ = cells[trie_slot(subject_first, true)].set(trie);
             }
-            cache
-                .overlays
-                .retain(|&(p, _, s), _| !staged.contains(&p) && !compacted.contains(&(p, s)));
-            // Either kind of change moves some shard's effective root, so
-            // the merged domain is stale for every touched predicate.
-            cache.unions.retain(|&(p, _), _| {
-                !staged.contains(&p) && !compacted.iter().any(|&(cp, _)| cp == p)
-            });
-            // fetch_max, not store: if an even newer foreign version
-            // exists, the next sync must still do its full invalidation.
-            self.synced_version.fetch_max(version, Ordering::AcqRel);
-            (self.epoch.fetch_add(1, Ordering::AcqRel) + 1, stale)
-        };
-        eh_par::run_tasks(runtime.num_threads, stale.len(), |i| {
-            self.obtain(stale[i], &|| {});
-        });
-        (epoch, stale.len())
+        }
     }
 
     /// Logical cardinality of an atom's predicate (0 when absent): the
@@ -554,31 +397,28 @@ impl Catalog {
     /// the planner's cost-model sees the same relation the executor
     /// serves — identical at every partition count.
     pub fn cardinality(&self, atom: &Atom) -> usize {
-        let store = self.store.read();
-        let Some(pred) = store.resolve_iri(&atom.relation) else {
-            return 0;
-        };
-        store.pred_logical_len(pred)
+        self.store.resolve_iri(&atom.relation).map_or(0, |pred| self.store.pred_logical_len(pred))
     }
 
-    /// Number of distinct tries currently cached (diagnostics).
+    /// Number of base tries this version has built or inherited
+    /// (diagnostics).
     pub fn cached_tries(&self) -> usize {
-        self.cache.read().expect("catalog lock poisoned").tries.len()
+        self.tries.values().flat_map(|cells| cells.iter()).filter(|c| c.get().is_some()).count()
     }
 
-    /// Number of distinct delta overlays currently cached (diagnostics).
+    /// Number of delta overlays this version has built or inherited
+    /// (diagnostics).
     pub fn cached_overlays(&self) -> usize {
-        self.cache.read().expect("catalog lock poisoned").overlays.len()
+        self.overlays.values().flat_map(|cells| cells.iter()).filter(|c| c.get().is_some()).count()
     }
 
     /// Cached arena bytes per shard (index = shard), for the serving
     /// tier's per-shard gauges. Shards with nothing cached report 0.
     pub fn arena_bytes_by_shard(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.partitions()];
-        let cache = self.cache.read().expect("catalog lock poisoned");
-        for (k, t) in &cache.tries {
-            if let Some(slot) = out.get_mut(k.shard) {
-                *slot += t.arena_bytes() as u64;
+        for (&(_, shard), cells) in &self.tries {
+            for trie in cells.iter().filter_map(OnceLock::get) {
+                out[shard] += trie.arena_bytes() as u64;
             }
         }
         out
@@ -606,18 +446,25 @@ fn build_overlay(delta: &PredDelta, subject_first: bool) -> DeltaOverlay {
 mod tests {
     use super::*;
     use eh_query::QueryBuilder;
-    use eh_rdf::{Term, Triple, TripleStore};
+    use eh_rdf::{Term, Triple};
 
     fn triple(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 
-    fn store() -> SharedStore {
-        SharedStore::from_triples(vec![
-            triple("s1", "p", "o1"),
-            triple("s1", "p", "o2"),
-            triple("s2", "p", "o1"),
-        ])
+    fn version(triples: Vec<Triple>, partitions: usize) -> Catalog {
+        Catalog::new(0, Arc::new(TripleStore::from_triples_partitioned(triples, partitions)))
+    }
+
+    fn store() -> Catalog {
+        version(vec![triple("s1", "p", "o1"), triple("s1", "p", "o2"), triple("s2", "p", "o1")], 1)
+    }
+
+    /// The next version of `c` after `edit` ran on a copy of its store.
+    fn commit(c: &Catalog, edit: impl FnOnce(&mut TripleStore)) -> (Catalog, Vec<HotOrder>) {
+        let mut next = c.store().clone();
+        edit(&mut next);
+        c.successor(next)
     }
 
     fn atom_for(store: &TripleStore, rel: &str) -> Atom {
@@ -640,17 +487,10 @@ mod tests {
         }
     }
 
-    /// Expand predicate keys to (pred, shard) pairs across all shards.
-    fn all_shards(c: &Catalog, preds: &[u32]) -> Vec<(u32, usize)> {
-        let p = c.partitions();
-        preds.iter().flat_map(|&pred| (0..p).map(move |s| (pred, s))).collect()
-    }
-
     #[test]
     fn loads_both_orders() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
+        let c = store();
+        let a = atom_for(c.store(), "p");
         let so = c.trie(&a, true, true);
         let os = c.trie(&a, false, true);
         assert_eq!(so.num_tuples(), 3);
@@ -663,9 +503,8 @@ mod tests {
 
     #[test]
     fn cache_hits() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
+        let c = store();
+        let a = atom_for(c.store(), "p");
         let t1 = c.trie(&a, true, true);
         let t2 = c.trie(&a, true, true);
         assert!(Arc::ptr_eq(&t1, &t2));
@@ -677,44 +516,24 @@ mod tests {
 
     #[test]
     fn missing_predicate_is_empty() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "absent");
+        let c = store();
+        let a = atom_for(c.store(), "absent");
         assert!(c.trie(&a, true, true).is_empty());
         assert_eq!(c.cardinality(&a), 0);
     }
 
     #[test]
-    fn invalidate_clears_tries_and_bumps_epoch() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
-        assert_eq!(c.epoch(), 0);
-        let before = c.trie(&a, true, true);
-        assert_eq!(c.cached_tries(), 1);
-        assert_eq!(c.invalidate(), 1);
-        assert_eq!(c.epoch(), 1);
-        assert_eq!(c.cached_tries(), 0);
-        // The trie rebuilds on demand, content-identical.
-        let after = c.trie(&a, true, true);
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(before.num_tuples(), after.num_tuples());
-    }
-
-    #[test]
     fn cardinality() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        assert_eq!(c.cardinality(&atom_for(&s.read(), "p")), 3);
+        let c = store();
+        assert_eq!(c.cardinality(&atom_for(c.store(), "p")), 3);
     }
 
     #[test]
     fn concurrent_access_shares_one_trie_per_key() {
         // The warm-path contract: many workers requesting overlapping
         // keys through &self agree on a single cached Arc per key.
-        let s = store();
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
+        let c = store();
+        let a = atom_for(c.store(), "p");
         let tries = eh_par::run_tasks(4, 16, |i| c.trie(&a, i % 2 == 0, true));
         assert_eq!(c.cached_tries(), 2);
         for (i, t) in tries.iter().enumerate() {
@@ -722,66 +541,43 @@ mod tests {
         }
     }
 
+    /// A compaction retires exactly the compacted predicate's tries and
+    /// reports its built orders as hot; the untouched predicate's trie
+    /// is the very same `Arc` in the new version.
     #[test]
-    fn refresh_preds_keeps_untouched_predicates() {
-        let s = SharedStore::from_triples(vec![triple("a", "p", "b"), triple("a", "q", "b")]);
-        let c = Catalog::new(s.clone());
-        let (ap, aq) = { (atom_for(&s.read(), "p"), atom_for(&s.read(), "q")) };
+    fn successor_keeps_untouched_predicates() {
+        let c = version(vec![triple("a", "p", "b"), triple("a", "q", "b")], 1);
+        let (ap, aq) = (atom_for(c.store(), "p"), atom_for(c.store(), "q"));
         let p_before = c.trie(&ap, true, true);
         let q_before = c.trie(&aq, true, true);
-        let pred_p = s.read().resolve_iri("p").unwrap();
 
-        s.write().add_triples(vec![triple("c", "p", "d")]);
-        let v = s.bump_version();
-        let (epoch, rebuilt) = c.refresh_preds(&[pred_p], v, RuntimeConfig::serial());
-        assert_eq!(epoch, 1);
-        assert_eq!(rebuilt, 1);
-        // p was rebuilt eagerly (still cached) with the new contents; q's
-        // trie is the very same Arc as before.
-        assert_eq!(c.cached_tries(), 2);
-        let p_after = c.trie(&ap, true, true);
+        let (next, hot) = commit(&c, |s| {
+            s.stage_add_triples(vec![triple("c", "p", "d")]);
+            s.compact_all();
+        });
+        assert_eq!(next.seq(), 1);
+        assert_eq!(hot.len(), 1);
+        next.rebuild(hot[0]);
+        assert_eq!(next.cached_tries(), 2);
+        let p_after = next.trie(&ap, true, true);
         assert!(!Arc::ptr_eq(&p_before, &p_after));
         assert_eq!(p_after.num_tuples(), 2);
-        assert!(Arc::ptr_eq(&q_before, &c.trie(&aq, true, true)));
+        assert!(Arc::ptr_eq(&q_before, &next.trie(&aq, true, true)));
+        // The old version is untouched: still the pre-commit contents.
+        assert_eq!(c.trie(&ap, true, true).num_tuples(), 1);
     }
 
     #[test]
     fn emptied_table_resolves_to_empty_trie() {
-        let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
+        let c = version(vec![triple("a", "p", "b")], 1);
+        let a = atom_for(c.store(), "p");
         assert_eq!(c.trie(&a, true, true).num_tuples(), 1);
-        let pred = s.read().resolve_iri("p").unwrap();
-        s.write().remove_triples(vec![triple("a", "p", "b")]);
-        let v = s.bump_version();
-        c.refresh_preds(&[pred], v, RuntimeConfig::serial());
-        assert!(c.trie(&a, true, true).is_empty());
-        assert_eq!(c.cardinality(&a), 0);
-    }
-
-    /// The headline regression: a trie built from pre-invalidation data
-    /// must not be published into the cache after the invalidation
-    /// cleared it — with a mutable store that stale trie would be served
-    /// under the new epoch indefinitely. The publish-window hook drives
-    /// the exact interleaving; reverting the epoch re-check in
-    /// [`Catalog::obtain`] makes this fail.
-    #[test]
-    fn stale_trie_is_not_published_across_invalidation() {
-        let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
-        let pred = s.read().resolve_iri("p").unwrap();
-        // Build p's trie; in the window between build and publish, the
-        // store gains a triple and the catalog invalidates p.
-        let served = c.trie_with_publish_window(&a, true, true, &|| {
-            s.write().add_triples(vec![triple("c", "p", "d")]);
-            let v = s.bump_version();
-            c.refresh_preds(&[pred], v, RuntimeConfig::serial());
+        let (next, _) = commit(&c, |s| {
+            s.stage_remove_triples(vec![triple("a", "p", "b")]);
+            s.compact_all();
         });
-        // The racing builder must have retried against the new contents…
-        assert_eq!(served.num_tuples(), 2, "stale trie escaped the publish window");
-        // …and whatever the cache now serves must also be current.
-        assert_eq!(c.trie(&a, true, true).num_tuples(), 2, "stale trie cached across invalidation");
+        assert!(next.trie(&a, true, true).is_empty());
+        assert_eq!(next.cardinality(&a), 0);
     }
 
     /// The LSM contract: a staged update serves through an overlay
@@ -789,17 +585,14 @@ mod tests {
     /// retires both base trie and overlay.
     #[test]
     fn staged_deltas_serve_overlays_and_keep_base_tries() {
-        let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
+        let c = version(vec![triple("a", "p", "b")], 1);
+        let a = atom_for(c.store(), "p");
         let base = c.trie(&a, true, true);
-        let pred = s.read().resolve_iri("p").unwrap();
 
-        s.write().stage_add_triples(vec![triple("c", "p", "d")]);
-        let v = s.bump_version();
-        c.claim_version(v);
-        let (epoch, rebuilt) = c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
-        assert_eq!((epoch, rebuilt), (1, 0), "staged updates must not rebuild base tries");
+        let (c, hot) = commit(&c, |s| {
+            s.stage_add_triples(vec![triple("c", "p", "d")]);
+        });
+        assert!(hot.is_empty(), "staged updates must not rebuild base tries");
 
         let (trie, ov) = single_rel(&c, &a, true);
         assert!(Arc::ptr_eq(&base, &trie), "base trie retired by a staged update");
@@ -813,12 +606,10 @@ mod tests {
         assert_eq!(c.cached_overlays(), 2);
 
         // Compaction folds the delta: base tries rebuild, overlays drop.
-        let compacted = s.write().compact_all();
-        let v = s.bump_version();
-        c.claim_version(v);
-        let pairs = all_shards(&c, &compacted);
-        let (_, rebuilt) = c.refresh_after_update(&[], &pairs, v, RuntimeConfig::serial());
-        assert_eq!(rebuilt, 2, "both cached orders of p rebuild on compaction");
+        let (c, hot) = commit(&c, |s| {
+            s.compact_all();
+        });
+        assert_eq!(hot.len(), 2, "both cached orders of p rebuild on compaction");
         let (trie, ov) = single_rel(&c, &a, true);
         assert!(!Arc::ptr_eq(&base, &trie));
         assert_eq!(trie.num_tuples(), 2);
@@ -827,38 +618,20 @@ mod tests {
         assert_eq!(c.cardinality(&a), 2);
     }
 
-    /// Same race against a full invalidate(): the cleared cache must not
-    /// be repopulated with a pre-clear build.
-    #[test]
-    fn stale_trie_is_not_published_across_full_invalidate() {
-        let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
-        let served = c.trie_with_publish_window(&a, true, true, &|| {
-            s.write().add_triples(vec![triple("c", "p", "d")]);
-            c.invalidate();
-        });
-        assert_eq!(served.num_tuples(), 2);
-        assert_eq!(c.trie(&a, true, true).num_tuples(), 2);
-    }
-
     /// Enough distinct subjects to populate every shard at P = 4.
-    fn wide_store(partitions: usize) -> SharedStore {
+    fn wide_store(partitions: usize) -> Catalog {
         let triples: Vec<Triple> =
             (0..32).map(|i| triple(&format!("s{i}"), "p", &format!("o{}", i % 3))).collect();
-        SharedStore::from(TripleStore::from_triples_partitioned(triples, partitions))
+        version(triples, partitions)
     }
 
-    /// The tentpole contract: a partitioned catalog serves per-shard
-    /// operands whose union root reproduces the P = 1 root set exactly,
-    /// in both trie orders.
+    /// A partitioned catalog serves per-shard operands whose union root
+    /// reproduces the P = 1 root set exactly, in both trie orders.
     #[test]
     fn partitioned_relation_serves_sharded_operands() {
-        let s1 = wide_store(1);
-        let s4 = wide_store(4);
-        let c1 = Catalog::new(s1.clone());
-        let c4 = Catalog::new(s4.clone());
-        let a = atom_for(&s4.read(), "p");
+        let c1 = wide_store(1);
+        let c4 = wide_store(4);
+        let a = atom_for(c4.store(), "p");
         assert_eq!(c4.partitions(), 4);
         for subject_first in [true, false] {
             let reference = c1.trie(&a, subject_first, true);
@@ -886,31 +659,22 @@ mod tests {
     /// retire exactly that shard's tries — every other shard keeps its
     /// Arcs.
     #[test]
-    fn shard_local_refresh_retires_only_that_shard() {
-        let s = wide_store(4);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
-        let pred = s.read().resolve_iri("p").unwrap();
+    fn shard_local_compaction_retires_only_that_shard() {
+        let c = wide_store(4);
+        let a = atom_for(c.store(), "p");
+        let pred = c.store().resolve_iri("p").unwrap();
         // Warm every shard's subject-major trie.
         let before: Vec<Arc<FrozenTrie>> =
             (0..4).map(|shard| c.shard_relation(&a, true, true, shard).0).collect();
 
         // Stage a pair into whichever shard owns the (already encoded)
         // subject, then fold exactly that shard.
-        let target = {
-            let store = s.read();
-            store.partitioner().shard_of(store.resolve_iri("s0").unwrap())
-        };
-        s.write().stage_add_triples(vec![triple("s0", "p", "o9")]);
-        let v = s.bump_version();
-        c.claim_version(v);
-        c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
-        assert!(s.write().compact_pred_in(target, pred));
-        let v = s.bump_version();
-        c.claim_version(v);
-        let (_, rebuilt) =
-            c.refresh_after_update(&[], &[(pred, target)], v, RuntimeConfig::serial());
-        assert_eq!(rebuilt, 1, "only the folded shard's cached order rebuilds");
+        let target = c.store().partitioner().shard_of(c.store().resolve_iri("s0").unwrap());
+        let (c, _) = commit(&c, |s| {
+            s.stage_add_triples(vec![triple("s0", "p", "o9")]);
+        });
+        let (c, hot) = commit(&c, |s| assert!(s.compact_pred_in(target, pred)));
+        assert_eq!(hot.len(), 1, "only the folded shard's cached order rebuilds");
 
         for (shard, old) in before.iter().enumerate() {
             let (now, ov) = c.shard_relation(&a, true, true, shard);
@@ -929,19 +693,12 @@ mod tests {
     /// a single shard collapses back to a single operand.
     #[test]
     fn partitioned_overlays_route_by_subject_shard() {
-        let s = wide_store(4);
-        let c = Catalog::new(s.clone());
-        let a = atom_for(&s.read(), "p");
-        let pred = s.read().resolve_iri("p").unwrap();
-        let target = {
-            let store = s.read();
-            store.partitioner().shard_of(store.resolve_iri("s1").unwrap())
-        };
-        s.write().stage_add_triples(vec![triple("s1", "p", "o77")]);
-        let v = s.bump_version();
-        c.claim_version(v);
-        c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
-
+        let c = wide_store(4);
+        let a = atom_for(c.store(), "p");
+        let target = c.store().partitioner().shard_of(c.store().resolve_iri("s1").unwrap());
+        let (c, _) = commit(&c, |s| {
+            s.stage_add_triples(vec![triple("s1", "p", "o77"), triple("lonely", "q", "z")]);
+        });
         for shard in 0..4 {
             let (_, ov) = c.shard_relation(&a, true, true, shard);
             assert_eq!(ov.is_some(), shard == target, "overlay misrouted for shard {shard}");
@@ -949,12 +706,10 @@ mod tests {
 
         // A predicate whose pairs all live in one shard serves a single
         // operand even on a partitioned store.
-        s.write().add_triples(vec![triple("lonely", "q", "z")]);
-        let v = s.bump_version();
-        c.claim_version(v);
-        let q_pred = s.read().resolve_iri("q").unwrap();
-        c.refresh_preds(&[q_pred], v, RuntimeConfig::serial());
-        let aq = atom_for(&s.read(), "q");
+        let (c, _) = commit(&c, |s| {
+            s.compact_all();
+        });
+        let aq = atom_for(c.store(), "q");
         match c.relation(&aq, true, true) {
             RelOperands::Single { trie, .. } => assert_eq!(trie.num_tuples(), 1),
             RelOperands::Sharded { .. } => panic!("one-shard predicate must serve Single"),

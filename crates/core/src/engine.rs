@@ -1,14 +1,14 @@
 //! The user-facing engine API.
 
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use eh_query::{parse_sparql, ConjunctiveQuery};
-use eh_rdf::{LoadInfo, SnapshotError, StoreSnapshot, TripleStore};
+use eh_rdf::{LoadInfo, SnapshotError, StoreSnapshot};
 use eh_wal::{crash_point, FsyncPolicy, Wal, WalError};
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, HotOrder};
 use crate::error::EngineError;
 use crate::exec::execute_plan;
 use crate::flags::{OptFlags, PlannerConfig};
@@ -16,11 +16,8 @@ use crate::plan::Plan;
 use crate::planner::build_plan_with;
 use crate::profile::{ExecStats, QueryProfile};
 use crate::result::QueryResult;
-use crate::shared::SharedStore;
+use crate::shared::{SharedStore, StoreRef};
 use crate::update::{UpdateBatch, UpdateSummary, WalAppend};
-
-/// Bound on mid-join epoch-moved re-executions (see [`Engine::run_plan`]).
-const MID_JOIN_UPDATE_RETRIES: u64 = 3;
 
 /// `EH_OBS_FORCE=1` routes every plan execution through the profiled
 /// path (the profile is recorded and discarded when the caller didn't ask
@@ -49,20 +46,21 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 
 /// A worst-case optimal join engine over a [`SharedStore`].
 ///
-/// The engine owns a trie catalog (its "indexes"); tries are built lazily
-/// per (predicate, order, layout) and cached, mirroring how EmptyHeaded
-/// loads relations once and reuses them across queries. Timing
-/// methodology note: the paper excludes index construction from query
-/// time (§IV-A4) — call [`Engine::warm`] before measuring.
+/// Every committed store version carries a trie catalog (its "indexes");
+/// tries are built lazily per (predicate, order, layout) and cached,
+/// mirroring how EmptyHeaded loads relations once and reuses them across
+/// queries. Timing methodology note: the paper excludes index
+/// construction from query time (§IV-A4) — call [`Engine::warm`] before
+/// measuring.
 ///
-/// The store is *live*: [`Engine::update`] applies a batch of insertions
-/// and deletions, invalidates only the changed predicates' tries, and
-/// advances the catalog epoch so downstream result caches retire their
-/// stale entries. Queries running concurrently with an update are
-/// answered from a consistent trie snapshot — tries are immutable
-/// `Arc`s, never mutated in place.
+/// The store is *live*: [`Engine::update`] commits a batch of insertions
+/// and deletions as the next immutable store version, which keeps every
+/// untouched predicate's tries and advances the version sequence that
+/// downstream caches key by. Each query pins one version for its whole
+/// life ([`Engine::catalog`]), so an answer always reflects exactly one
+/// committed state, however fast the writer.
 pub struct Engine {
-    catalog: Catalog,
+    store: SharedStore,
     config: PlannerConfig,
     /// How the snapshot behind this engine loaded (copy vs mmap, with
     /// any fallback reason); `None` for engines not built from a
@@ -118,16 +116,16 @@ impl Engine {
     /// An engine with a full planner configuration (used by the
     /// LogicBlox-style baseline).
     pub fn with_config(store: impl Into<SharedStore>, config: PlannerConfig) -> Engine {
-        Engine { catalog: Catalog::new(store.into()), config, load: None, wal: None }
+        Engine { store: store.into(), config, load: None, wal: None }
     }
 
     /// An engine restored from a snapshot file: the store loads without
     /// parsing or re-sorting, and any frozen tries the snapshot carries
-    /// are preloaded into the catalog — so the engine starts *warm*, its
-    /// first query served from arenas that were `memcpy`d off disk. The
-    /// loaded store is as mutable as a cold-built one; an
-    /// [`Engine::update`] thaws (rebuilds) only the changed predicates'
-    /// tries, exactly as it would after any invalidation.
+    /// are preloaded into the first version's catalog — so the engine
+    /// starts *warm*, its first query served from arenas that were
+    /// `memcpy`d off disk. The loaded store is as mutable as a cold-built
+    /// one; an [`Engine::update`] rebuilds only the changed predicates'
+    /// tries.
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         config: PlannerConfig,
@@ -160,7 +158,7 @@ impl Engine {
     pub fn from_loaded_snapshot(snapshot: StoreSnapshot, config: PlannerConfig) -> Engine {
         let mut engine = Engine::with_config(snapshot.store, config);
         engine.load = Some(snapshot.load);
-        engine.catalog.preload(
+        engine.catalog().preload(
             snapshot.tries.into_iter().map(|e| (e.pred, e.subject_first, e.shard as usize, e.trie)),
         );
         engine
@@ -178,39 +176,35 @@ impl Engine {
     /// freshly frozen hot-order tries — to a snapshot file. Returns the
     /// bytes written and the number of triples the image holds.
     ///
-    /// The store's read lock is held only long enough to *clone* the
-    /// store, so the image is a consistent point in time but writers are
-    /// not stalled behind trie freezing and file I/O (the expensive
-    /// parts, which run on the private clone). The triple count is taken
-    /// from that same clone, so it always agrees with the file contents
+    /// The image is one pinned store version, so it is a consistent point
+    /// in time while writers carry on committing: nothing is locked while
+    /// tries freeze and the file is written. The triple count is taken
+    /// from the same version, so it always agrees with the file contents
     /// even when updates land mid-save.
     /// With a WAL attached, `save` also *truncates the log*: records
     /// folded into the image are dropped (atomic temp-and-rename, like
     /// the snapshot itself), so the log only ever holds the tail since
     /// the last image. The WAL sequence is captured under the wal lock
-    /// in the same bracket as the store clone — and because updates
-    /// hold that lock from append through staging, every record `<=`
-    /// the captured sequence is *in* the clone and every later one is
-    /// not. A crash between the image rename and the log truncation
+    /// together with the pin — and because updates hold that lock from
+    /// append through publication, every record `<=` the captured
+    /// sequence is *in* the pinned version and every later one is not.
+    /// A crash between the image rename and the log truncation
     /// leaves both the new image and the untruncated log; replaying
     /// already-folded records is idempotent (set semantics: re-inserts
     /// and re-deletes of applied operations are no-ops), so recovery
     /// still converges to the identical store.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(u64, usize), SnapshotError> {
-        let (mut store, wal_seq) = match &self.wal {
-            None => (self.store().clone(), None),
+        let (version, wal_seq) = match &self.wal {
+            None => (self.catalog(), None),
             Some(wal) => {
                 let w = Self::lock_wal(wal);
-                let store = self.store().clone();
-                (store, Some(w.last_seq()))
-                // wal lock drops here: writers proceed while the clone
-                // freezes and writes below.
+                (self.catalog(), Some(w.last_seq()))
             }
         };
-        // Snapshots encode base tables only; fold the clone's staged
-        // deltas in so overlay novelty is never silently dropped from the
-        // image. The live store keeps its deltas — this is the private
-        // copy.
+        // Snapshots encode base tables only; fold the staged deltas into
+        // a private copy so overlay novelty is never silently dropped from
+        // the image. The copy shares every table without a delta.
+        let mut store = version.store().clone();
         store.compact_all();
         let tries = StoreSnapshot::hot_tries(&store);
         crash_point("engine-save-pre");
@@ -227,8 +221,8 @@ impl Engine {
     /// Attach (or create) a write-ahead log at `path`, first replaying
     /// any records it holds through the staging machinery — the restart
     /// protocol is: load snapshot, `open_wal`, serve. Replayed batches
-    /// stage exactly like live traffic (deltas, threshold compaction,
-    /// epoch bumps) but are not re-appended to the log. The fsync
+    /// stage exactly like live traffic (deltas, threshold compaction, one
+    /// version each) but are not re-appended to the log. The fsync
     /// policy comes from [`PlannerConfig::wal_fsync`].
     ///
     /// A torn final record (crash mid-append) is dropped with a warning
@@ -290,38 +284,28 @@ impl Engine {
         })
     }
 
-    /// Read access to the underlying store. The guard is cheap; hold it
-    /// only for short lookups (term resolution, row decoding), not across
-    /// another engine call.
-    pub fn store(&self) -> RwLockReadGuard<'_, TripleStore> {
-        self.catalog.store().read()
+    /// The newest committed store, pinned: it stays exactly as it is for
+    /// as long as the handle is held, whatever commits meanwhile.
+    pub fn store(&self) -> StoreRef {
+        self.store.read()
     }
 
     /// A clone of the shared store handle.
     pub fn shared_store(&self) -> SharedStore {
-        self.catalog.store().clone()
+        self.store.clone()
     }
 
     /// Redistribute the store across `max(1, partitions)` subject-hash
-    /// shards and retire every cached trie and overlay (placement moved;
-    /// logical contents did not, so query answers are unchanged). A
-    /// request matching the current partitioning is a free no-op.
-    /// Returns the partition count now in effect.
+    /// shards, committed as a new version with every trie cell empty
+    /// (placement moved; logical contents did not, so query answers are
+    /// unchanged). A request matching the current partitioning is a free
+    /// no-op. Returns the partition count now in effect.
     pub fn repartition(&self, partitions: usize) -> usize {
-        let shared = self.catalog.store();
-        {
-            let mut store = shared.write();
-            if store.partitions() == partitions.max(1) {
-                return store.partitions();
-            }
-            store.repartition(partitions);
-        }
-        // Version first, then the full clear: invalidate records the
-        // version it covered, so the next epoch read does not double-pay
-        // a foreign-update invalidation.
-        shared.bump_version();
-        self.catalog.invalidate();
-        partitions.max(1)
+        let partitions = partitions.max(1);
+        self.store.commit(|store| {
+            (store.partitions() != partitions).then(|| store.repartition(partitions))
+        });
+        partitions
     }
 
     /// The planner configuration.
@@ -329,25 +313,35 @@ impl Engine {
         self.config
     }
 
-    /// The trie catalog — the hook a caching layer needs: its
-    /// [`epoch`](Catalog::epoch) versions derived-result caches and
-    /// [`invalidate`](Catalog::invalidate) retires them.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// The newest committed store version and its trie catalog. Run a
+    /// whole query against one pinned version ([`Engine::plan_at`],
+    /// [`Engine::run_plan_at`]) to see exactly one committed state; its
+    /// [`seq`](Catalog::seq) is what derived caches key by.
+    pub fn catalog(&self) -> Arc<Catalog> {
+        self.store.pin()
+    }
+
+    /// Republish the current store as a new version with every cached
+    /// trie dropped (they rebuild lazily). Returns the new sequence
+    /// number, which retires everything a caching layer keyed by the old
+    /// one.
+    pub fn invalidate(&self) -> u64 {
+        self.store.invalidate()
     }
 
     /// Apply a batch of live updates: deletions first, then insertions
-    /// (SPARQL Update convention), atomically under the store's write
-    /// lock. The batch is **staged** LSM-style — sorted per-predicate
+    /// (SPARQL Update convention), committed atomically as the next store
+    /// version. The batch is **staged** LSM-style — sorted per-predicate
     /// delta sets of inserts and tombstones — in O(delta) time, without
     /// rebuilding any base table or re-freezing any trie: queries serve
     /// the novelty by handing each delta to the multiway driver as one
     /// more set operand. Only a predicate whose accumulated delta crosses
     /// [`PlannerConfig::compaction_threshold`] is folded into a fresh
     /// base table (and its cached tries rebuilt) as part of the batch.
-    /// The epoch advances once per batch; a batch that changes nothing —
-    /// duplicates of resident triples, deletions of absent ones — leaves
-    /// deltas, epoch, and downstream caches untouched.
+    /// Each batch that changes something publishes exactly one version; a
+    /// batch that changes nothing — duplicates of resident triples,
+    /// deletions of absent ones — publishes none, leaving the sequence
+    /// and downstream caches untouched.
     ///
     /// With a log attached ([`Engine::open_wal`]) the encoded batch is
     /// appended — and pushed to stable storage per the configured
@@ -369,7 +363,7 @@ impl Engine {
         // is apply order, so replay reproduces exactly the live
         // sequence of store states. No-op batches are logged too —
         // their replay is a no-op, and deciding no-op-ness up front
-        // would need the store lock this method must not take first.
+        // would need a staging pass before the append.
         let mut wal = Self::lock_wal(wal);
         let info =
             wal.append_with(|buf| eh_rdf::encode_update_into(buf, &batch.deletes, &batch.inserts))?;
@@ -399,241 +393,185 @@ impl Engine {
     /// recovered batches are *not* re-appended to the log they came
     /// from).
     fn apply_batch(&self, batch: UpdateBatch) -> UpdateSummary {
-        let shared = self.catalog.store();
-        let (report, compacted, version) = {
-            let mut store = shared.write();
+        let committed = self.store.commit(|store| {
             let mut report = store.stage_remove_triples(batch.deletes);
             report.merge(store.stage_add_triples(batch.inserts));
             if report.is_empty() {
-                (report, (Vec::new(), Vec::new(), Vec::new()), 0)
-            } else {
-                // Threshold compaction, still under the write lock, at
-                // shard granularity: fold exactly the (predicate, shard)
-                // deltas that grew past max(absolute floor, frac% of that
-                // shard's base table). A skewed shard folds alone — every
-                // other shard's tries and deltas are untouched, and the
-                // pause is recorded against the shard that caused it.
-                // Everything below the threshold stays an overlay.
-                let partitions = store.partitions();
-                let mut compacted: Vec<(u32, usize)> = Vec::new();
-                let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
-                for &p in &report.changed_preds {
-                    for s in 0..partitions {
-                        let staged = store.shard_delta_len(s, p);
-                        if staged == 0 {
-                            continue;
-                        }
-                        let base = store.shard_table(s, p).map_or(0, |t| t.len());
-                        if staged >= self.config.compaction_threshold(base) {
-                            let t0 = Instant::now();
-                            store.compact_pred_in(s, p);
-                            let us = t0.elapsed().as_micros() as u64;
-                            match shard_pauses.iter_mut().find(|(sh, _)| *sh == s) {
-                                Some(e) => e.1 += us,
-                                None => shard_pauses.push((s, us)),
-                            }
-                            compacted.push((p, s));
-                        }
-                    }
-                }
-                // Predicates with any delta left after the folds still
-                // serve part of their novelty as an overlay.
-                let staged: Vec<u32> = report
-                    .changed_preds
-                    .iter()
-                    .copied()
-                    .filter(|&p| store.delta_len(p) > 0)
-                    .collect();
-                // Bump while the write lock is still held: any reader
-                // that can observe the new data can also observe the new
-                // version, so sibling catalogs over this store can't keep
-                // serving their now-stale view (see SharedStore docs).
-                // Our own catalog claims the version immediately — the
-                // precise refresh below covers it, and readers racing
-                // into the gap must not full-invalidate on the skew.
-                let version = shared.bump_version();
-                self.catalog.claim_version(version);
-                (report, (compacted, staged, shard_pauses), version)
+                return None;
             }
+            // Threshold compaction at shard granularity: fold exactly the
+            // (predicate, shard) deltas that grew past max(absolute floor,
+            // frac% of that shard's base table). A skewed shard folds
+            // alone — every other shard's tries and deltas are untouched,
+            // and the pause is recorded against the shard that caused it.
+            // Everything below the threshold stays an overlay.
+            let mut compacted: Vec<u32> = Vec::new();
+            let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
+            for &p in &report.changed_preds {
+                for s in 0..store.partitions() {
+                    let staged = store.shard_delta_len(s, p);
+                    let base = store.shard_table(s, p).map_or(0, |t| t.len());
+                    if staged == 0 || staged < self.config.compaction_threshold(base) {
+                        continue;
+                    }
+                    let t0 = Instant::now();
+                    store.compact_pred_in(s, p);
+                    let us = t0.elapsed().as_micros() as u64;
+                    match shard_pauses.iter_mut().find(|(sh, _)| *sh == s) {
+                        Some(e) => e.1 += us,
+                        None => shard_pauses.push((s, us)),
+                    }
+                    compacted.push(p);
+                }
+            }
+            compacted.dedup();
+            Some((report, compacted.len(), shard_pauses))
+        });
+        let Some(((report, compacted, shard_pauses), version, hot)) = committed else {
+            return self.unchanged();
         };
-        let (compacted, staged, shard_pauses) = compacted;
-        if report.is_empty() {
-            return UpdateSummary {
-                inserted: 0,
-                deleted: 0,
-                changed_predicates: 0,
-                rebuilt_tries: 0,
-                compacted_predicates: 0,
-                epoch: self.catalog.epoch(),
-                shard_pauses: Vec::new(),
-                wal: None,
-            };
-        }
-        let (epoch, rebuilt) =
-            self.catalog.refresh_after_update(&staged, &compacted, version, self.config.runtime);
-        let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
-        compacted_preds.dedup();
         UpdateSummary {
             inserted: report.added,
             deleted: report.removed,
             changed_predicates: report.changed_preds.len(),
-            rebuilt_tries: rebuilt,
-            compacted_predicates: compacted_preds.len(),
-            epoch,
+            rebuilt_tries: self.rebuild_hot(&version, &hot),
+            compacted_predicates: compacted,
+            epoch: version.seq(),
             shard_pauses,
             wal: None,
         }
+    }
+
+    /// The summary of a commit that changed nothing.
+    fn unchanged(&self) -> UpdateSummary {
+        UpdateSummary {
+            inserted: 0,
+            deleted: 0,
+            changed_predicates: 0,
+            rebuilt_tries: 0,
+            compacted_predicates: 0,
+            epoch: self.catalog().seq(),
+            shard_pauses: Vec::new(),
+            wal: None,
+        }
+    }
+
+    /// Rebuild, on the runtime's workers, the base tries the previous
+    /// version had built for tables a commit replaced — so the next query
+    /// does not pay the build. Returns how many were rebuilt.
+    fn rebuild_hot(&self, version: &Catalog, hot: &[HotOrder]) -> usize {
+        eh_par::run_tasks(self.config.runtime.num_threads, hot.len(), |i| version.rebuild(hot[i]));
+        hot.len()
     }
 
     /// Fold every staged delta into fresh base tables and rebuild the
     /// affected cached tries — the off-hot-path compaction entry point a
     /// serving tier calls from its maintenance trigger (or a caller who
-    /// wants overlay memory back). No-op (epoch untouched) when nothing
+    /// wants overlay memory back). No-op (no new version) when nothing
     /// is staged.
     pub fn compact(&self) -> UpdateSummary {
-        let shared = self.catalog.store();
-        let (pairs, shard_pauses, version) = {
-            let mut store = shared.write();
+        let committed = self.store.commit(|store| {
             // Fold shard by shard so the pause attribution matches the
             // shard-local storage: each shard's fold only touches its own
             // tables and is timed on its own.
-            let partitions = store.partitions();
-            let mut pairs: Vec<(u32, usize)> = Vec::new();
+            let mut preds: Vec<u32> = Vec::new();
             let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
-            for s in 0..partitions {
+            for s in 0..store.partitions() {
                 let t0 = Instant::now();
-                let preds = store.compact_shard(s);
-                if !preds.is_empty() {
+                let folded = store.compact_shard(s);
+                if !folded.is_empty() {
                     shard_pauses.push((s, t0.elapsed().as_micros() as u64));
-                    pairs.extend(preds.into_iter().map(|p| (p, s)));
+                    preds.extend(folded);
                 }
             }
-            if pairs.is_empty() {
-                (pairs, shard_pauses, 0)
-            } else {
-                // Same protocol as `update`: compaction changes which
-                // physical structures serve each predicate, so sibling
-                // catalogs holding (base trie + now-vanished delta) views
-                // must observe the version move.
-                let version = shared.bump_version();
-                self.catalog.claim_version(version);
-                (pairs, shard_pauses, version)
-            }
+            preds.sort_unstable();
+            preds.dedup();
+            (!preds.is_empty()).then_some((preds.len(), shard_pauses))
+        });
+        let Some(((preds, shard_pauses), version, hot)) = committed else {
+            return self.unchanged();
         };
-        if pairs.is_empty() {
-            return UpdateSummary {
-                inserted: 0,
-                deleted: 0,
-                changed_predicates: 0,
-                rebuilt_tries: 0,
-                compacted_predicates: 0,
-                epoch: self.catalog.epoch(),
-                shard_pauses: Vec::new(),
-                wal: None,
-            };
-        }
-        let (epoch, rebuilt) =
-            self.catalog.refresh_after_update(&[], &pairs, version, self.config.runtime);
-        let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
-        preds.sort_unstable();
-        preds.dedup();
         UpdateSummary {
             inserted: 0,
             deleted: 0,
-            changed_predicates: preds.len(),
-            rebuilt_tries: rebuilt,
-            compacted_predicates: preds.len(),
-            epoch,
+            changed_predicates: preds,
+            rebuilt_tries: self.rebuild_hot(&version, &hot),
+            compacted_predicates: preds,
+            epoch: version.seq(),
             shard_pauses,
             wal: None,
         }
     }
 
-    /// Plan a query without running it.
+    /// Plan a query against the newest committed version without running
+    /// it.
     pub fn plan(&self, q: &ConjunctiveQuery) -> Result<Plan, EngineError> {
+        self.plan_at(&self.catalog(), q)
+    }
+
+    /// Plan a query against one pinned version's statistics. No lock is
+    /// held while the planner searches.
+    pub fn plan_at(&self, version: &Catalog, q: &ConjunctiveQuery) -> Result<Plan, EngineError> {
         if q.projection().is_empty() {
             return Err(EngineError::EmptyProjection);
         }
-        Ok(build_plan_with(q, self.config, Some(&self.store())))
+        Ok(build_plan_with(q, self.config, Some(version.store())))
     }
 
     /// Plan and execute a query.
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryResult, EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.run_plan(q, &plan))
+        let version = self.catalog();
+        let plan = self.plan_at(&version, q)?;
+        Ok(self.run_plan_at(&version, q, &plan))
     }
 
-    /// Execute a previously built plan (on the configured runtime:
-    /// sequential by default, morsel-parallel when
-    /// [`PlannerConfig::with_threads`] asked for workers).
-    ///
-    /// Execution fetches tries lazily, so a multi-predicate update
-    /// landing *mid-join* could otherwise mix pre- and post-update tries
-    /// into one answer that matches no store state. The epoch bracket
-    /// below closes that: if the epoch moved while the join ran, the
-    /// result is discarded and the join re-executes against the settled
-    /// catalog.
-    ///
-    /// Retries are bounded: a sustained writer whose inter-batch gap is
-    /// shorter than this query's runtime would otherwise starve the
-    /// reader forever. After the last retry the result is returned as a
-    /// best-effort answer — each trie in it is still an immutable
-    /// snapshot of its own predicate, but tries of different predicates
-    /// may straddle adjacent updates. Only workloads updating faster than
-    /// they can run a single join ever see this.
+    /// Execute a previously built plan against the newest committed
+    /// version (on the configured runtime: sequential by default,
+    /// morsel-parallel when [`PlannerConfig::with_threads`] asked for
+    /// workers).
     pub fn run_plan(&self, q: &ConjunctiveQuery, plan: &Plan) -> QueryResult {
-        if obs_forced() {
-            return self.run_plan_profiled(q, plan).0;
-        }
-        let mut attempts = 0;
-        loop {
-            let epoch = self.catalog.epoch();
-            let result = execute_plan(
-                &self.catalog,
-                q,
-                plan,
-                self.config.flags.layouts,
-                self.config.runtime,
-                None,
-            );
-            attempts += 1;
-            if self.catalog.epoch() == epoch || attempts > MID_JOIN_UPDATE_RETRIES {
-                return result;
-            }
-        }
+        self.run_plan_at(&self.catalog(), q, plan)
     }
 
-    /// Execute a previously built plan with full profiling: same retry
-    /// semantics as [`Engine::run_plan`], but every join records kernel
-    /// dispatches, candidate counts, probes, and wall times. Each retry
-    /// attempt starts a fresh collector, so the returned profile describes
-    /// exactly the attempt whose result is returned (plus how many
-    /// attempts were discarded in `epoch_retries`).
+    /// Execute a plan against one pinned version: every trie and overlay
+    /// the join reads comes from that version, so the answer is exactly
+    /// its committed state, however many commits land meanwhile.
+    pub fn run_plan_at(&self, version: &Catalog, q: &ConjunctiveQuery, plan: &Plan) -> QueryResult {
+        if obs_forced() {
+            return self.run_plan_profiled_at(version, q, plan).0;
+        }
+        execute_plan(version, q, plan, self.config.flags.layouts, self.config.runtime, None)
+    }
+
+    /// Execute a previously built plan with full profiling: every join
+    /// records kernel dispatches, candidate counts, probes, and wall
+    /// times.
     pub fn run_plan_profiled(
         &self,
         q: &ConjunctiveQuery,
         plan: &Plan,
     ) -> (QueryResult, QueryProfile) {
+        self.run_plan_profiled_at(&self.catalog(), q, plan)
+    }
+
+    fn run_plan_profiled_at(
+        &self,
+        version: &Catalog,
+        q: &ConjunctiveQuery,
+        plan: &Plan,
+    ) -> (QueryResult, QueryProfile) {
         let threads = self.config.runtime.num_threads;
         let t0 = Instant::now();
-        let mut retries = 0u64;
-        loop {
-            let stats = ExecStats::new(threads);
-            let epoch = self.catalog.epoch();
-            let result = execute_plan(
-                &self.catalog,
-                q,
-                plan,
-                self.config.flags.layouts,
-                self.config.runtime,
-                Some(&stats),
-            );
-            if self.catalog.epoch() == epoch || retries >= MID_JOIN_UPDATE_RETRIES {
-                let profile = stats.snapshot(threads, t0.elapsed().as_nanos() as u64, retries);
-                return (result, profile);
-            }
-            retries += 1;
-        }
+        let stats = ExecStats::new(threads);
+        let result = execute_plan(
+            version,
+            q,
+            plan,
+            self.config.flags.layouts,
+            self.config.runtime,
+            Some(&stats),
+        );
+        (result, stats.snapshot(threads, t0.elapsed().as_nanos() as u64))
     }
 
     /// Plan, execute, and profile a query (see
@@ -642,17 +580,18 @@ impl Engine {
         &self,
         q: &ConjunctiveQuery,
     ) -> Result<(QueryResult, QueryProfile), EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.run_plan_profiled(q, &plan))
+        let version = self.catalog();
+        let plan = self.plan_at(&version, q)?;
+        Ok(self.run_plan_profiled_at(&version, q, &plan))
     }
 
-    /// Parse a SPARQL query against this engine's store and run it.
+    /// Parse a SPARQL query against this engine's store and run it, all
+    /// on one pinned version.
     pub fn run_sparql(&self, text: &str) -> Result<QueryResult, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        self.run(&q)
+        let version = self.catalog();
+        let q = parse_sparql(text, version.store())?;
+        let plan = self.plan_at(&version, &q)?;
+        Ok(self.run_plan_at(&version, &q, &plan))
     }
 
     /// Pre-build the tries a query needs, so a subsequent timed
@@ -660,11 +599,11 @@ impl Engine {
     /// the paper's timing methodology (§IV-A4) excludes index build time.
     ///
     /// Distinct tries build **concurrently** on the configured runtime's
-    /// workers (EmptyHeaded's trie construction is parallel too): the
-    /// catalog is shared under `&self`, its lock taken only to publish
-    /// each finished trie.
+    /// workers (EmptyHeaded's trie construction is parallel too), each
+    /// into its own cell of the newest version's catalog.
     pub fn warm(&self, q: &ConjunctiveQuery) -> Result<(), EngineError> {
-        let plan = self.plan(q)?;
+        let version = self.catalog();
+        let plan = self.plan_at(&version, q)?;
         // One build job per distinct (predicate, column order); duplicate
         // atoms over the same table would otherwise race to build the
         // same trie redundantly.
@@ -678,10 +617,10 @@ impl Engine {
         jobs.dedup_by_key(|&mut (pred, subject_first, _)| (pred, subject_first));
         // Each shard's trie is its own arena and its own build job — the
         // fan-out dimension is (predicate, order) × shard.
-        let partitions = self.catalog.partitions();
+        let partitions = version.partitions();
         eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, |i| {
             let (_, subject_first, atom_index) = jobs[i / partitions];
-            self.catalog.warm_shard(
+            version.warm_shard(
                 &q.atoms()[atom_index],
                 subject_first,
                 self.config.flags.layouts,
@@ -696,13 +635,14 @@ impl Engine {
     /// and the chosen trie orders — the `EXPLAIN` a downstream user would
     /// expect.
     pub fn explain(&self, q: &ConjunctiveQuery) -> Result<String, EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.explain_with(q, &plan))
+        let version = self.catalog();
+        let plan = self.plan_at(&version, q)?;
+        Ok(Self::explain_with(&version, q, &plan))
     }
 
     /// Render an already-built plan (the body shared by
     /// [`Engine::explain`] and [`Engine::explain_analyze`]).
-    fn explain_with(&self, q: &ConjunctiveQuery, plan: &Plan) -> String {
+    fn explain_with(version: &Catalog, q: &ConjunctiveQuery, plan: &Plan) -> String {
         use std::fmt::Write;
         let mut out = plan.render(q);
         let _ = writeln!(out, "atom access paths:");
@@ -711,11 +651,8 @@ impl Engine {
                 let atom = &q.atoms()[ap.atom_index];
                 let short = atom.relation.rsplit(['/', '#']).next().unwrap_or(&atom.relation);
                 let order = if ap.subject_first { "[s, o]" } else { "[o, s]" };
-                let _ = writeln!(
-                    out,
-                    "  {short}: trie {order}, {} tuples",
-                    self.catalog.cardinality(atom)
-                );
+                let _ =
+                    writeln!(out, "  {short}: trie {order}, {} tuples", version.cardinality(atom));
             }
         }
         out
@@ -723,10 +660,7 @@ impl Engine {
 
     /// Parse and explain a SPARQL query (see [`Engine::explain`]).
     pub fn explain_sparql(&self, text: &str) -> Result<String, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
+        let q = parse_sparql(text, &self.store())?;
         self.explain(&q)
     }
 
@@ -736,23 +670,29 @@ impl Engine {
     /// result cardinality. Volatile (timing) lines are `~`-prefixed; the
     /// rest is schedule-invariant across thread counts.
     pub fn explain_analyze(&self, q: &ConjunctiveQuery) -> Result<String, EngineError> {
+        self.explain_analyze_at(&self.catalog(), q)
+    }
+
+    fn explain_analyze_at(
+        &self,
+        version: &Catalog,
+        q: &ConjunctiveQuery,
+    ) -> Result<String, EngineError> {
         use std::fmt::Write;
-        let plan = self.plan(q)?;
-        let (result, profile) = self.run_plan_profiled(q, &plan);
-        let mut out = self.explain_with(q, &plan);
+        let plan = self.plan_at(version, q)?;
+        let (result, profile) = self.run_plan_profiled_at(version, q, &plan);
+        let mut out = Self::explain_with(version, q, &plan);
         out.push_str(&profile.render());
         let _ = writeln!(out, "result rows: {}", result.cardinality());
         Ok(out)
     }
 
     /// Parse and `EXPLAIN ANALYZE` a SPARQL query (see
-    /// [`Engine::explain_analyze`]).
+    /// [`Engine::explain_analyze`]), all on one pinned version.
     pub fn explain_analyze_sparql(&self, text: &str) -> Result<String, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        self.explain_analyze(&q)
+        let version = self.catalog();
+        let q = parse_sparql(text, version.store())?;
+        self.explain_analyze_at(&version, &q)
     }
 }
 
@@ -760,7 +700,7 @@ impl Engine {
 mod tests {
     use super::*;
     use eh_query::QueryBuilder;
-    use eh_rdf::{Term, Triple};
+    use eh_rdf::{Term, Triple, TripleStore};
 
     fn edge(s: u32, o: u32) -> Triple {
         Triple::new(Term::iri(format!("n{s}")), Term::iri("edge"), Term::iri(format!("n{o}")))
@@ -877,7 +817,7 @@ mod tests {
         engine.warm(&q).unwrap();
         // Three self-join atoms over one predicate share at most two trie
         // orders; the jobs were deduplicated before fan-out.
-        assert!(engine.catalog.cached_tries() <= 2);
+        assert!(engine.catalog().cached_tries() <= 2);
         assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
     }
 
@@ -895,14 +835,14 @@ mod tests {
         let summary = engine.update(batch);
         assert_eq!((summary.inserted, summary.deleted, summary.changed_predicates), (1, 1, 1));
         assert_eq!(summary.epoch, 1);
-        assert_eq!(engine.catalog().epoch(), 1);
+        assert_eq!(engine.catalog().seq(), 1);
         assert_eq!(engine.run(&q).unwrap().cardinality(), 2); // (0,1,2) and (0,2,3)
 
         // A no-op batch leaves the epoch alone.
         let mut noop = UpdateBatch::new();
         noop.insert(edge(0, 1)).delete(edge(7, 9));
         assert_eq!(engine.update(noop).epoch, 1);
-        assert_eq!(engine.catalog().epoch(), 1);
+        assert_eq!(engine.catalog().seq(), 1);
     }
 
     #[test]
@@ -977,9 +917,9 @@ mod tests {
     }
 
     /// Several engines over one [`SharedStore`]: an update applied
-    /// through one must be observed by the others (their catalogs detect
-    /// the store-version skew and retire their tries), not served stale
-    /// from tries built before the foreign update.
+    /// through one must be observed by the others (they pin the same
+    /// newest version), not served stale from tries built before the
+    /// foreign update.
     #[test]
     fn sibling_engines_observe_foreign_updates() {
         let store = triangle_store();
@@ -988,7 +928,7 @@ mod tests {
         let q = triangle_query(&store.read());
         // Warm the reader's catalog so it has pre-update tries cached.
         assert_eq!(reader.run(&q).unwrap().cardinality(), 2);
-        assert_eq!(reader.catalog().epoch(), 0);
+        assert_eq!(reader.catalog().seq(), 0);
 
         let mut batch = UpdateBatch::new();
         batch.insert(edge(0, 3));
@@ -996,10 +936,10 @@ mod tests {
 
         // The reader's next answer reflects the new data — edge (0, 3)
         // closes triangles (0, 1, 3) and (0, 2, 3) on top of the original
-        // two — and its epoch moved, so a serving tier's result cache
+        // two — and its version moved, so a serving tier's result cache
         // over it misses too.
         assert_eq!(reader.run(&q).unwrap().cardinality(), 4);
-        assert_eq!(reader.catalog().epoch(), 1);
+        assert_eq!(reader.catalog().seq(), 1);
         assert_eq!(writer.run(&q).unwrap().cardinality(), 4);
     }
 

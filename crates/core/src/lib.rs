@@ -35,10 +35,11 @@
 //! bit-identical to sequential ones.
 //!
 //! The store is shared and **live**: the engine holds a [`SharedStore`]
-//! (`Arc<RwLock<TripleStore>>`) rather than a borrow, and
-//! [`Engine::update`] applies insert/delete batches that invalidate only
-//! the changed predicates' tries and advance the catalog epoch — the
-//! contract serving tiers key their caches by.
+//! rather than a borrow, and [`Engine::update`] commits each
+//! insert/delete batch as the next immutable store version, which keeps
+//! every untouched predicate's tries. A query pins one version for its
+//! whole life, and the version's sequence number is what serving tiers
+//! key their caches by.
 //!
 //! ```
 //! use eh_lubm::{generate_store, GeneratorConfig};
@@ -74,7 +75,7 @@ pub use flags::{OptFlags, PlannerConfig};
 pub use plan::{AtomPlan, NodePlan, Plan};
 pub use profile::{DepthProfile, JoinProfile, KernelTally, QueryProfile, WorkerLoad};
 pub use result::QueryResult;
-pub use shared::SharedStore;
+pub use shared::{SharedStore, StoreRef};
 pub use update::{UpdateBatch, UpdateSummary, WalAppend};
 
 #[cfg(test)]

@@ -70,17 +70,19 @@ pub struct UpdateSummary {
     pub deleted: usize,
     /// Predicates whose tables changed.
     pub changed_predicates: usize,
-    /// Hot tries rebuilt eagerly after invalidation (previously cached
-    /// orders of the changed predicates). Staged (overlay) updates leave
-    /// this at 0 — base tries survive; only compaction rebuilds.
+    /// Hot tries rebuilt eagerly in the new version (orders the previous
+    /// version had built for base tables the batch replaced). Staged
+    /// (overlay) updates leave this at 0 — base tries survive; only
+    /// compaction rebuilds.
     pub rebuilt_tries: usize,
     /// Changed predicates whose deltas crossed the compaction threshold
     /// and were folded into fresh base tables as part of this batch. The
     /// remaining `changed_predicates - compacted_predicates` predicates
     /// serve their novelty from the in-memory overlay.
     pub compacted_predicates: usize,
-    /// The catalog epoch after the batch. Unchanged when the batch was a
-    /// no-op on table contents — no-ops don't invalidate anything.
+    /// Sequence number of the store version the batch committed (the
+    /// wire's `epoch=`). Unchanged when the batch was a no-op on table
+    /// contents — no-ops publish no version.
     pub epoch: u64,
     /// Per-shard compaction pause times in microseconds, `(shard, µs)`,
     /// one entry per shard that folded at least one delta during this

@@ -3,6 +3,7 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::term::{hash_term_parts, Term, KIND_IRI, KIND_LITERAL};
 
@@ -68,10 +69,68 @@ impl<'a> Borrow<dyn TermKey + 'a> for Term {
 /// deterministic for a fixed insertion order — the LUBM generator relies on
 /// this for reproducible tests. The paper's engines (RDF-3X, TripleBit,
 /// EmptyHeaded) all dictionary-encode before building indexes; so do we.
-#[derive(Debug, Default, Clone)]
+///
+/// The dictionary is **append-only**, so clones share one term table: a
+/// clone is an `Arc` plus a watermark (the key count it sees), and terms
+/// appended through one handle stay invisible to handles whose watermark
+/// predates them. That is what lets every committed store version carry
+/// its own dictionary view without copying it. Appending through a handle
+/// that is no longer the newest one (another handle appended since)
+/// forks a private copy of the visible prefix first, so handles never
+/// observe each other's writes.
+#[derive(Clone, Default)]
 pub struct Dictionary {
-    map: HashMap<Term, u32>,
-    terms: Vec<Term>,
+    shared: Arc<SharedTerms>,
+    /// Keys `0..len` are visible through this handle.
+    len: usize,
+}
+
+/// The term table behind every clone of one dictionary.
+#[derive(Default)]
+struct SharedTerms {
+    /// Term → key for every term; appends happen under the write lock,
+    /// so `map.len()` is the table's true length.
+    map: RwLock<HashMap<Term, u32>>,
+    /// Keys `0..base.len()`: the terms the table was built from.
+    base: Box<[Term]>,
+    /// Later keys, from `base.len()` on. Chunk `k` holds `2^k` slots and
+    /// is never reallocated, so a reader's `&Term` stays valid while
+    /// appends continue.
+    chunks: [OnceLock<Box<[OnceLock<Term>]>>; CHUNKS],
+}
+
+/// Chunks of sizes `1, 2, 4, …, 2^31` cover every `u32` key.
+const CHUNKS: usize = 32;
+
+/// The (chunk, offset) slot of the `i`-th appended key.
+fn slot(i: usize) -> (usize, usize) {
+    let n = i + 1;
+    let chunk = (usize::BITS - 1 - n.leading_zeros()) as usize;
+    (chunk, n - (1 << chunk))
+}
+
+impl SharedTerms {
+    fn get(&self, i: usize) -> Option<&Term> {
+        if let Some(term) = self.base.get(i) {
+            return Some(term);
+        }
+        let (chunk, offset) = slot(i - self.base.len());
+        self.chunks.get(chunk)?.get()?.get(offset)?.get()
+    }
+
+    /// Append `term` at key `i`; the caller holds the map's write lock.
+    fn push(&self, i: usize, term: Term) {
+        let (chunk, offset) = slot(i - self.base.len());
+        let slots =
+            self.chunks[chunk].get_or_init(|| (0..1 << chunk).map(|_| OnceLock::new()).collect());
+        assert!(slots[offset].set(term).is_ok(), "dictionary slot {i} written twice");
+    }
+}
+
+impl std::fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dictionary").field("len", &self.len).finish_non_exhaustive()
+    }
 }
 
 impl Dictionary {
@@ -86,7 +145,13 @@ impl Dictionary {
     /// or key reassignment happens: term `i` keeps key `i`.
     pub(crate) fn from_terms(terms: Vec<Term>) -> Dictionary {
         let map = terms.iter().enumerate().map(|(i, t)| (t.clone(), i as u32)).collect();
-        Dictionary { map, terms }
+        let len = terms.len();
+        let shared = SharedTerms {
+            map: RwLock::new(map),
+            base: terms.into_boxed_slice(),
+            chunks: Default::default(),
+        };
+        Dictionary { shared: Arc::new(shared), len }
     }
 
     /// Encode `term`, assigning the next key on first encounter.
@@ -94,19 +159,32 @@ impl Dictionary {
     /// # Panics
     /// Panics if more than `u32::MAX` distinct terms are inserted.
     pub fn encode(&mut self, term: &Term) -> u32 {
-        if let Some(&id) = self.map.get(term) {
+        if let Some(id) = self.lookup(term) {
             return id;
         }
-        let id =
-            u32::try_from(self.terms.len()).expect("dictionary overflow: more than 2^32 terms");
-        self.map.insert(term.clone(), id);
-        self.terms.push(term.clone());
+        let shared = Arc::clone(&self.shared);
+        let mut map = shared.map.write().expect("dictionary lock poisoned");
+        if map.len() != self.len {
+            // Another handle appended past our watermark: continue on a
+            // private copy of what this handle can see.
+            drop(map);
+            *self = Dictionary::from_terms(self.iter().map(|(_, t)| t.clone()).collect());
+            return self.encode(term);
+        }
+        let id = u32::try_from(self.len).expect("dictionary overflow: more than 2^32 terms");
+        shared.push(self.len, term.clone());
+        map.insert(term.clone(), id);
+        self.len += 1;
         id
+    }
+
+    fn visible(&self, id: Option<&u32>) -> Option<u32> {
+        id.copied().filter(|&id| (id as usize) < self.len)
     }
 
     /// Key for `term` if it has been seen before.
     pub fn lookup(&self, term: &Term) -> Option<u32> {
-        self.map.get(term).copied()
+        self.visible(self.shared.map.read().expect("dictionary lock poisoned").get(term))
     }
 
     /// Allocation-free lookup of an IRI by string: the map is probed with
@@ -114,12 +192,14 @@ impl Dictionary {
     /// This sits on the serving hot path — every constant in every query
     /// resolves through here.
     pub fn lookup_iri(&self, iri: &str) -> Option<u32> {
-        self.map.get(&Probe { kind: KIND_IRI, text: iri } as &dyn TermKey).copied()
+        let map = self.shared.map.read().expect("dictionary lock poisoned");
+        self.visible(map.get(&Probe { kind: KIND_IRI, text: iri } as &dyn TermKey))
     }
 
     /// Allocation-free lookup of a plain literal by its body.
     pub fn lookup_literal(&self, literal: &str) -> Option<u32> {
-        self.map.get(&Probe { kind: KIND_LITERAL, text: literal } as &dyn TermKey).copied()
+        let map = self.shared.map.read().expect("dictionary lock poisoned");
+        self.visible(map.get(&Probe { kind: KIND_LITERAL, text: literal } as &dyn TermKey))
     }
 
     /// Decode a key back to its term.
@@ -127,27 +207,31 @@ impl Dictionary {
     /// # Panics
     /// Panics on a key that was never assigned.
     pub fn decode(&self, id: u32) -> &Term {
-        &self.terms[id as usize]
+        self.try_decode(id).unwrap_or_else(|| panic!("dictionary key {id} was never assigned"))
     }
 
     /// Decode a key if it is valid.
     pub fn try_decode(&self, id: u32) -> Option<&Term> {
-        self.terms.get(id as usize)
+        if (id as usize) < self.len {
+            self.shared.get(id as usize)
+        } else {
+            None
+        }
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.len
     }
 
     /// True when no term has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len == 0
     }
 
     /// Iterate `(key, term)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Term)> {
-        self.terms.iter().enumerate().map(|(i, t)| (i as u32, t))
+        (0..self.len).map(|i| (i as u32, self.shared.get(i).expect("visible key is assigned")))
     }
 }
 
@@ -211,5 +295,37 @@ mod tests {
         d.encode(&Term::iri("b"));
         let pairs: Vec<_> = d.iter().map(|(k, t)| (k, t.as_str().to_string())).collect();
         assert_eq!(pairs, vec![(0, "a".to_string()), (1, "b".to_string())]);
+    }
+
+    #[test]
+    fn clones_share_terms_but_not_later_appends() {
+        let mut a = Dictionary::new();
+        a.encode(&Term::iri("x"));
+        let mut b = a.clone();
+        // `b` is the newest handle: it appends in place, invisibly to `a`.
+        assert_eq!(b.encode(&Term::iri("y")), 1);
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!((a.len(), a.lookup_iri("y"), a.try_decode(1)), (1, None, None));
+        // `a` is now behind: its append forks, and both keep key 1.
+        assert_eq!(a.encode(&Term::iri("z")), 1);
+        assert!(!Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!(a.decode(1), &Term::iri("z"));
+        assert_eq!(b.decode(1), &Term::iri("y"));
+        assert_eq!(a.decode(0), b.decode(0));
+    }
+
+    #[test]
+    fn slots_cover_keys_without_gaps() {
+        let mut seen = Vec::new();
+        for i in 0..100 {
+            let (chunk, offset) = slot(i);
+            assert!(offset < 1 << chunk);
+            seen.push((chunk, offset));
+        }
+        seen.dedup();
+        assert_eq!(seen.len(), 100);
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(2), (1, 1));
+        assert_eq!(slot(u32::MAX as usize - 1), (31, (1 << 31) - 1));
     }
 }

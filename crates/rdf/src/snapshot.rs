@@ -1475,11 +1475,13 @@ mod tests {
         let store = sample_store();
         let bytes = snapshot_bytes(&store);
         let mut loaded = StoreSnapshot::read(&bytes[..]).unwrap().store;
-        let report = loaded.add_triples(vec![t("s9", "p", "o9"), t("s9", "r", "o9")]);
+        let report = loaded.stage_add_triples(vec![t("s9", "p", "o9"), t("s9", "r", "o9")]);
         assert_eq!(report.added, 2);
         assert_eq!(loaded.num_triples(), store.num_triples() + 2);
-        let report = loaded.remove_triples(vec![t("s1", "p", "o1")]);
+        let report = loaded.stage_remove_triples(vec![t("s1", "p", "o1")]);
         assert_eq!(report.removed, 1);
+        loaded.compact_all();
+        assert_eq!(loaded.num_triples(), store.num_triples() + 1);
     }
 
     #[test]
@@ -1818,7 +1820,7 @@ mod tests {
             assert_snapshots_equal(&mapped, &copied);
             // A mapped load stays as mutable as a copy load.
             let mut s = mapped.store;
-            assert_eq!(s.add_triples(vec![t("new", "p", "o")]).added, 1);
+            assert_eq!(s.stage_add_triples(vec![t("new", "p", "o")]).added, 1);
         }
         std::fs::remove_file(&path).ok();
     }

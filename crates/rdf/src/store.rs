@@ -2,6 +2,7 @@
 //! hash-partitioned into subject shards.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::dict::Dictionary;
 use crate::partition::Partitioner;
@@ -26,31 +27,28 @@ use crate::vp::PairTable;
 /// tables. Read accessors panic on an uncommitted store to make misuse
 /// loud rather than subtly stale.
 ///
-/// A committed store can also be mutated in place, two ways:
+/// A committed store changes only through **staged (LSM-style)**
+/// mutation: [`stage_add_triples`](TripleStore::stage_add_triples) and
+/// [`stage_remove_triples`](TripleStore::stage_remove_triples) record a
+/// batch as a sorted per-(shard, predicate) [`PredDelta`] (inserts +
+/// tombstones) in O(delta) without touching the base tables; a later
+/// [`compact_pred`](TripleStore::compact_pred) /
+/// [`compact_all`](TripleStore::compact_all) folds deltas into fresh
+/// tables off the hot path — or, shard-locally,
+/// [`compact_pred_in`](TripleStore::compact_pred_in) folds a single
+/// shard. Logical accessors ([`num_triples`], [`encoded_triples`],
+/// [`stats`]) always report the merged view across all shards;
+/// [`shard_table`](TripleStore::shard_table) exposes one shard's frozen
+/// **base** only, with [`shard_delta`](TripleStore::shard_delta)
+/// carrying the rest. Staging reports which predicates actually changed.
+/// Removal never shrinks the dictionary and leaves emptied tables in
+/// place — term keys stay stable for the lifetime of the store.
 ///
-/// * **Eagerly** — [`add_triples`](TripleStore::add_triples) and
-///   [`remove_triples`](TripleStore::remove_triples) merge a batch into
-///   the affected tables (through the same sort/dedup machinery). This
-///   pays a full table rebuild per changed predicate.
-/// * **Staged (LSM-style)** —
-///   [`stage_add_triples`](TripleStore::stage_add_triples) and
-///   [`stage_remove_triples`](TripleStore::stage_remove_triples) record
-///   the batch as a sorted per-(shard, predicate) [`PredDelta`] (inserts +
-///   tombstones) in O(delta) without touching the base tables; a later
-///   [`compact_pred`](TripleStore::compact_pred) /
-///   [`compact_all`](TripleStore::compact_all) folds deltas into fresh
-///   tables off the hot path — or, shard-locally,
-///   [`compact_pred_in`](TripleStore::compact_pred_in) folds a single
-///   shard. Logical accessors ([`num_triples`], [`encoded_triples`],
-///   [`stats`]) always report the merged view across all shards;
-///   [`shard_table`](TripleStore::shard_table) exposes one shard's frozen
-///   **base** only, with [`shard_delta`](TripleStore::shard_delta)
-///   carrying the rest.
-///
-/// Both ways report which predicates actually changed, so an index layer
-/// can invalidate only the tries those predicates back. Removal never
-/// shrinks the dictionary and leaves emptied tables in place — term keys
-/// stay stable for the lifetime of the store.
+/// Cloning is cheap and structural: base tables and deltas sit behind
+/// `Arc`s and the append-only [`Dictionary`] is shared, so a clone copies
+/// only the per-(predicate, shard) handles. A mutation replaces exactly
+/// the handles it changes — which is how an index layer tells a changed
+/// table from an untouched one by pointer identity.
 ///
 /// The single-table accessors ([`table`](TripleStore::table),
 /// [`tables`](TripleStore::tables), [`delta`](TripleStore::delta)) are the
@@ -82,8 +80,8 @@ pub struct TripleStore {
 /// its staged deltas. Table indices align across shards.
 #[derive(Debug, Default, Clone)]
 struct StoreShard {
-    tables: Vec<PairTable>,
-    deltas: HashMap<u32, PredDelta>,
+    tables: Vec<Arc<PairTable>>,
+    deltas: HashMap<u32, Arc<PredDelta>>,
 }
 
 /// Staged, uncompacted mutations for one predicate within one shard:
@@ -302,7 +300,10 @@ impl TripleStore {
             dict: Dictionary::from_terms(terms),
             partitioner: Partitioner::new(1),
             by_pred,
-            shards: vec![StoreShard { tables, deltas: HashMap::new() }],
+            shards: vec![StoreShard {
+                tables: tables.into_iter().map(Arc::new).collect(),
+                deltas: HashMap::new(),
+            }],
             agg_distinct_objects: HashMap::new(),
             pending: HashMap::new(),
             pending_names: Vec::new(),
@@ -356,7 +357,10 @@ impl TripleStore {
             by_pred,
             shards: shard_tables
                 .into_iter()
-                .map(|tables| StoreShard { tables, deltas: HashMap::new() })
+                .map(|tables| StoreShard {
+                    tables: tables.into_iter().map(Arc::new).collect(),
+                    deltas: HashMap::new(),
+                })
                 .collect(),
             agg_distinct_objects,
             pending: HashMap::new(),
@@ -382,25 +386,12 @@ impl TripleStore {
         self.n_pending += 1;
     }
 
-    /// Sort, deduplicate, and merge all buffered pairs into the tables.
+    /// Sort and deduplicate all buffered pairs into fresh tables.
+    ///
+    /// # Panics
+    /// Panics when a buffered pair names a predicate that already has a
+    /// table: committed tables change only through the staged path.
     pub fn commit(&mut self) {
-        let _ = self.commit_report();
-    }
-
-    /// [`commit`](TripleStore::commit), reporting which predicate tables
-    /// actually changed. A table whose pending pairs were all already
-    /// resident is left untouched (not rebuilt, not reported).
-    pub fn commit_report(&mut self) -> UpdateReport {
-        let mut report = UpdateReport::default();
-        if self.pending.is_empty() {
-            return report;
-        }
-        // Eager merges rebuild base tables from their current contents;
-        // fold staged deltas in first so nothing is silently dropped or
-        // duplicated across the base/delta split.
-        if self.has_deltas() {
-            self.compact_all();
-        }
         let names: HashMap<u32, String> = self.pending_names.drain(..).collect();
         // Drain in predicate-key order, not HashMap order: table
         // registration order must be deterministic so two stores built
@@ -411,59 +402,25 @@ impl TripleStore {
         pending.sort_unstable_by_key(|&(p, _)| p);
         self.n_pending = 0;
         for (p, mut pairs) in pending {
+            assert!(
+                !self.by_pred.contains_key(&p),
+                "commit() onto an existing table; stage live changes instead"
+            );
             pairs.sort_unstable();
             pairs.dedup();
-            match self.by_pred.get(&p).copied() {
-                Some(idx) => {
-                    // Merge with each owning shard's table: rebuild from
-                    // the union, but only where something genuinely new
-                    // landed.
-                    let mut added_here = 0;
-                    for shard in 0..self.shards.len() {
-                        let sh = &mut self.shards[shard];
-                        let old = &sh.tables[idx];
-                        let mut fresh: Vec<(u32, u32)> = pairs
-                            .iter()
-                            .copied()
-                            .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
-                            .filter(|&(s, o)| !old.contains(s, o))
-                            .collect();
-                        if fresh.is_empty() {
-                            continue;
-                        }
-                        added_here += fresh.len();
-                        fresh.extend_from_slice(old.so_pairs());
-                        let name = old.name().to_string();
-                        sh.tables[idx] = PairTable::build(name, p, fresh);
-                    }
-                    if added_here > 0 {
-                        report.added += added_here;
-                        report.changed_preds.push(p);
-                        self.recompute_agg(p);
-                    }
-                }
-                None => {
-                    let name = names
-                        .get(&p)
-                        .cloned()
-                        .unwrap_or_else(|| self.dict.decode(p).as_str().to_string());
-                    let idx = self.register_pred(p, &name);
-                    for shard in 0..self.shards.len() {
-                        let mine: Vec<(u32, u32)> = pairs
-                            .iter()
-                            .copied()
-                            .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
-                            .collect();
-                        self.shards[shard].tables[idx] = PairTable::build(name.clone(), p, mine);
-                    }
-                    report.added += pairs.len();
-                    report.changed_preds.push(p);
-                    self.recompute_agg(p);
-                }
+            let name =
+                names.get(&p).cloned().unwrap_or_else(|| self.dict.decode(p).as_str().to_string());
+            let idx = self.register_pred(p, &name);
+            for shard in 0..self.shards.len() {
+                let mine: Vec<(u32, u32)> = pairs
+                    .iter()
+                    .copied()
+                    .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
+                    .collect();
+                self.shards[shard].tables[idx] = Arc::new(PairTable::build(name.clone(), p, mine));
             }
+            self.recompute_agg(p);
         }
-        report.changed_preds.sort_unstable();
-        report
     }
 
     /// Register a predicate: every shard gets an (initially empty) table
@@ -471,7 +428,7 @@ impl TripleStore {
     fn register_pred(&mut self, p: u32, name: &str) -> usize {
         let idx = self.num_tables();
         for sh in &mut self.shards {
-            sh.tables.push(PairTable::build(name.to_string(), p, Vec::new()));
+            sh.tables.push(Arc::new(PairTable::build(name.to_string(), p, Vec::new())));
         }
         self.by_pred.insert(p, idx);
         idx
@@ -492,75 +449,6 @@ impl TripleStore {
         self.agg_distinct_objects.insert(pred, distinct);
     }
 
-    /// Post-commit insertion: encode and merge a batch of triples,
-    /// growing the dictionary as needed, and report what changed.
-    ///
-    /// # Panics
-    /// Panics when called on an uncommitted store (mixed two-phase and
-    /// live mutation would make `insert`/`commit` bookkeeping ambiguous).
-    pub fn add_triples(&mut self, triples: impl IntoIterator<Item = Triple>) -> UpdateReport {
-        self.assert_committed();
-        for t in triples {
-            self.insert(t);
-        }
-        self.commit_report()
-    }
-
-    /// Post-commit removal: delete a batch of triples from the affected
-    /// tables and report what changed. Triples naming unknown terms or
-    /// predicates are ignored (they cannot be resident). The dictionary
-    /// never shrinks and emptied tables remain (empty) so predicate keys
-    /// and table identity stay stable.
-    ///
-    /// # Panics
-    /// Panics when called on an uncommitted store.
-    pub fn remove_triples(&mut self, triples: impl IntoIterator<Item = Triple>) -> UpdateReport {
-        self.assert_committed();
-        if self.has_deltas() {
-            self.compact_all();
-        }
-        let mut victims: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
-        for t in triples {
-            let (Some(s), Some(p), Some(o)) =
-                (self.dict.lookup(&t.s), self.dict.lookup(&t.p), self.dict.lookup(&t.o))
-            else {
-                continue;
-            };
-            if self.by_pred.contains_key(&p) {
-                victims.entry(p).or_default().push((s, o));
-            }
-        }
-        let mut report = UpdateReport::default();
-        for (p, mut gone) in victims {
-            gone.sort_unstable();
-            gone.dedup();
-            let idx = self.by_pred[&p];
-            let mut removed_here = 0;
-            for shard in 0..self.shards.len() {
-                let old = &self.shards[shard].tables[idx];
-                let kept: Vec<(u32, u32)> = old
-                    .so_pairs()
-                    .iter()
-                    .copied()
-                    .filter(|pr| gone.binary_search(pr).is_err())
-                    .collect();
-                let removed = old.len() - kept.len();
-                if removed > 0 {
-                    let name = old.name().to_string();
-                    self.shards[shard].tables[idx] = PairTable::build(name, p, kept);
-                    removed_here += removed;
-                }
-            }
-            if removed_here > 0 {
-                report.removed += removed_here;
-                report.changed_preds.push(p);
-                self.recompute_agg(p);
-            }
-        }
-        report.changed_preds.sort_unstable();
-        report
-    }
-
     /// Stage an insert batch as per-(shard, predicate) deltas without
     /// rebuilding any base table: O(delta) in the batch, not the
     /// predicate. New terms grow the dictionary; a new predicate gets an
@@ -568,10 +456,7 @@ impl TripleStore {
     /// pairs staged as inserts. Each pair routes to the single shard its
     /// subject hashes to. Inserting a tombstoned pair cancels the
     /// tombstone; inserting a resident or already-staged pair is a no-op.
-    /// The report counts real logical change only, exactly like
-    /// [`add_triples`].
-    ///
-    /// [`add_triples`]: TripleStore::add_triples
+    /// The report counts real logical change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -588,13 +473,25 @@ impl TripleStore {
             };
             let pair = (s, o);
             let sh = &mut self.shards[self.partitioner.shard_of(s)];
-            let d = sh.deltas.entry(p).or_default();
-            if let Ok(at) = d.del.binary_search(&pair) {
-                d.del.remove(at); // insert cancels the tombstone
-            } else if sh.tables[idx].contains(s, o) || d.ins.binary_search(&pair).is_ok() {
+            let staged = sh.deltas.get(&p);
+            let tombstone = staged.and_then(|d| d.del.binary_search(&pair).ok());
+            if tombstone.is_none()
+                && (sh.tables[idx].contains(s, o)
+                    || staged.is_some_and(|d| d.ins.binary_search(&pair).is_ok()))
+            {
                 continue;
-            } else if let Err(at) = d.ins.binary_search(&pair) {
-                d.ins.insert(at, pair);
+            }
+            // Copy-on-write: a delta still shared with an older clone is
+            // copied before its first change (deltas are small).
+            let d = Arc::make_mut(sh.deltas.entry(p).or_default());
+            match tombstone {
+                Some(at) => {
+                    d.del.remove(at); // insert cancels the tombstone
+                }
+                None => {
+                    let at = d.ins.binary_search(&pair).unwrap_err();
+                    d.ins.insert(at, pair);
+                }
             }
             report.added += 1;
             report.changed_preds.push(p);
@@ -607,9 +504,7 @@ impl TripleStore {
     /// rebuilding any base table: O(delta) in the batch. Deleting a
     /// staged insert cancels it; deleting an absent pair (or a triple
     /// naming unknown terms) is a no-op. The report counts real logical
-    /// change only, exactly like [`remove_triples`].
-    ///
-    /// [`remove_triples`]: TripleStore::remove_triples
+    /// change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -630,16 +525,21 @@ impl TripleStore {
             };
             let pair = (s, o);
             let sh = &mut self.shards[self.partitioner.shard_of(s)];
-            let d = sh.deltas.entry(p).or_default();
-            if let Ok(at) = d.ins.binary_search(&pair) {
-                d.ins.remove(at); // delete cancels the staged insert
-            } else if sh.tables[idx].contains(s, o) {
-                match d.del.binary_search(&pair) {
-                    Ok(_) => continue, // already tombstoned
-                    Err(at) => d.del.insert(at, pair),
+            let staged = sh.deltas.get(&p);
+            let staged_insert = staged.and_then(|d| d.ins.binary_search(&pair).ok());
+            let tombstoned = staged.is_some_and(|d| d.del.binary_search(&pair).is_ok());
+            if staged_insert.is_none() && (tombstoned || !sh.tables[idx].contains(s, o)) {
+                continue; // absent, or already tombstoned
+            }
+            let d = Arc::make_mut(sh.deltas.entry(p).or_default());
+            match staged_insert {
+                Some(at) => {
+                    d.ins.remove(at); // delete cancels the staged insert
                 }
-            } else {
-                continue;
+                None => {
+                    let at = d.del.binary_search(&pair).unwrap_err();
+                    d.del.insert(at, pair);
+                }
             }
             report.removed += 1;
             report.changed_preds.push(p);
@@ -665,23 +565,23 @@ impl TripleStore {
     /// [`shard_delta`](TripleStore::shard_delta) there.
     pub fn delta(&self, pred: u32) -> Option<&PredDelta> {
         assert_eq!(self.partitions(), 1, "partitioned store: use shard_delta");
-        self.shards[0].deltas.get(&pred)
+        self.shard_delta(0, pred)
     }
 
     /// The staged delta for a predicate within one shard, if any.
     pub fn shard_delta(&self, shard: usize, pred: u32) -> Option<&PredDelta> {
-        self.shards[shard].deltas.get(&pred)
+        self.shards[shard].deltas.get(&pred).map(|d| &**d)
     }
 
     /// Staged pairs (inserts + tombstones) for one predicate, across all
     /// shards.
     pub fn delta_len(&self, pred: u32) -> usize {
-        self.shards.iter().map(|sh| sh.deltas.get(&pred).map_or(0, PredDelta::len)).sum()
+        self.shards.iter().map(|sh| sh.deltas.get(&pred).map_or(0, |d| d.len())).sum()
     }
 
     /// Staged pairs for one predicate within one shard.
     pub fn shard_delta_len(&self, shard: usize, pred: u32) -> usize {
-        self.shards[shard].deltas.get(&pred).map_or(0, PredDelta::len)
+        self.shards[shard].deltas.get(&pred).map_or(0, |d| d.len())
     }
 
     /// True when any shard has staged deltas.
@@ -739,7 +639,7 @@ impl TripleStore {
         };
         let os = merge_pairs(old.os_pairs(), &permute_sort(&d.del), &permute_sort(&d.ins));
         self.shards[shard].tables[idx] =
-            PairTable::from_sorted_parts(old.name().to_string(), pred, so, os);
+            Arc::new(PairTable::from_sorted_parts(old.name().to_string(), pred, so, os));
         self.recompute_agg(pred);
         true
     }
@@ -810,9 +710,8 @@ impl TripleStore {
     /// Panics on a partitioned store; use
     /// [`shard_table`](TripleStore::shard_table) or [`PredCard`] there.
     pub fn table(&self, pred: u32) -> Option<&PairTable> {
-        self.assert_committed();
         assert_eq!(self.partitions(), 1, "partitioned store: use shard_table / pred_card");
-        self.by_pred.get(&pred).map(|&i| &self.shards[0].tables[i])
+        self.shard_table(0, pred)
     }
 
     /// Table for a predicate IRI — the `P = 1` view (see
@@ -826,7 +725,7 @@ impl TripleStore {
     /// # Panics
     /// Panics on a partitioned store; use
     /// [`shard_tables`](TripleStore::shard_tables) there.
-    pub fn tables(&self) -> &[PairTable] {
+    pub fn tables(&self) -> &[Arc<PairTable>] {
         self.assert_committed();
         assert_eq!(self.partitions(), 1, "partitioned store: use shard_tables");
         &self.shards[0].tables
@@ -835,12 +734,12 @@ impl TripleStore {
     /// One shard's table for a predicate key (its slice of the pairs).
     pub fn shard_table(&self, shard: usize, pred: u32) -> Option<&PairTable> {
         self.assert_committed();
-        self.by_pred.get(&pred).map(|&i| &self.shards[shard].tables[i])
+        self.by_pred.get(&pred).map(|&i| &*self.shards[shard].tables[i])
     }
 
     /// One shard's predicate tables, in registration order (the order is
     /// identical across shards).
-    pub fn shard_tables(&self, shard: usize) -> &[PairTable] {
+    pub fn shard_tables(&self, shard: usize) -> &[Arc<PairTable>] {
         self.assert_committed();
         &self.shards[shard].tables
     }
@@ -981,12 +880,12 @@ impl TripleStore {
                     so.iter().copied().filter(|&(s, _)| partitioner.shard_of(s) == shard).collect();
                 let os_mine: Vec<(u32, u32)> =
                     os.iter().copied().filter(|&(_, s)| partitioner.shard_of(s) == shard).collect();
-                new_sh.tables.push(PairTable::from_sorted_parts(
+                new_sh.tables.push(Arc::new(PairTable::from_sorted_parts(
                     name.clone(),
                     pred,
                     so_mine,
                     os_mine,
-                ));
+                )));
             }
         }
         self.partitioner = partitioner;
@@ -1012,7 +911,7 @@ impl StoreShard {
     }
 
     fn staged_pairs(&self) -> usize {
-        self.deltas.values().map(PredDelta::len).sum()
+        self.deltas.values().map(|d| d.len()).sum()
     }
 }
 
@@ -1115,18 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_commit_merges() {
-        let mut store = TripleStore::new();
-        store.insert(t("a", "p", "b"));
-        store.commit();
-        assert_eq!(store.num_triples(), 1);
-        store.insert(t("c", "p", "d"));
-        store.insert(t("a", "p", "b")); // dup with committed data
-        store.commit();
-        assert_eq!(store.num_triples(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "before commit")]
     fn reading_uncommitted_panics() {
         let mut store = TripleStore::new();
@@ -1160,58 +1047,35 @@ mod tests {
     }
 
     #[test]
-    fn add_triples_reports_only_real_change() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let p = store.resolve_iri("p").unwrap();
-        // One duplicate, one new pair on p, one brand-new predicate.
-        let report = store.add_triples(vec![t("a", "p", "b"), t("c", "p", "d"), t("a", "q", "b")]);
-        let q = store.resolve_iri("q").unwrap();
-        assert_eq!(report.added, 2);
-        assert_eq!(report.removed, 0);
-        assert_eq!(report.changed_preds, {
-            let mut v = vec![p, q];
-            v.sort_unstable();
-            v
-        });
-        assert_eq!(store.num_triples(), 3);
-        assert!(store
-            .table_by_name("p")
-            .unwrap()
-            .contains(store.resolve_iri("c").unwrap(), store.resolve_iri("d").unwrap()));
-        assert!(store.__invariant_check());
-    }
-
-    #[test]
-    fn add_of_resident_triples_is_reported_empty() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let report = store.add_triples(vec![t("a", "p", "b"), t("a", "p", "b")]);
-        assert!(report.is_empty());
-        assert_eq!((report.added, report.removed), (0, 0));
-        assert_eq!(store.num_triples(), 1);
-    }
-
-    #[test]
-    fn remove_triples_reports_and_keeps_empty_tables() {
+    fn emptied_tables_keep_their_predicate_key() {
         let mut store =
             TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d"), t("a", "q", "b")]);
         let p = store.resolve_iri("p").unwrap();
-        let report = store.remove_triples(vec![
+        let report = store.stage_remove_triples(vec![
             t("a", "p", "b"),
             t("a", "p", "b"),      // duplicate victim counts once
             t("x", "p", "y"),      // absent terms: ignored
             t("a", "nosuch", "b"), // unknown predicate: ignored
         ]);
-        assert_eq!(report.removed, 1);
-        assert_eq!(report.added, 0);
+        assert_eq!((report.added, report.removed), (0, 1));
         assert_eq!(report.changed_preds, vec![p]);
         assert_eq!(store.num_triples(), 2);
-        // Removing the rest of p empties but does not drop the table.
-        let report = store.remove_triples(vec![t("c", "p", "d")]);
-        assert_eq!(report.removed, 1);
-        let table = store.table_by_name("p").unwrap();
-        assert!(table.is_empty());
+        // Removing the rest of p and folding empties but does not drop
+        // the table.
+        assert_eq!(store.stage_remove_triples(vec![t("c", "p", "d")]).removed, 1);
+        store.compact_all();
+        assert!(store.table_by_name("p").unwrap().is_empty());
+        assert_eq!(store.resolve_iri("p"), Some(p));
         assert_eq!(store.stats().predicates, 2);
         assert!(store.__invariant_check());
+    }
+
+    #[test]
+    #[should_panic(expected = "stage live changes")]
+    fn commit_onto_an_existing_table_panics() {
+        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
+        store.insert(t("c", "p", "d"));
+        store.commit();
     }
 
     #[test]
@@ -1300,27 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_paths_fold_staged_deltas_first() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        store.stage_add_triples(vec![t("x", "p", "y")]);
-        // Eager add compacts first, then merges — nothing lost, no dups.
-        let report = store.add_triples(vec![t("x", "p", "y"), t("c", "p", "d")]);
-        assert_eq!(report.added, 1);
-        assert!(!store.has_deltas());
-        assert_eq!(store.num_triples(), 3);
-
-        store.stage_remove_triples(vec![t("a", "p", "b")]);
-        let report = store.remove_triples(vec![t("c", "p", "d")]);
-        assert_eq!(report.removed, 1);
-        assert!(!store.has_deltas());
-        assert_eq!(store.num_triples(), 1);
-        assert!(store
-            .table_by_name("p")
-            .unwrap()
-            .contains(store.resolve_iri("x").unwrap(), store.resolve_iri("y").unwrap()));
-    }
-
-    #[test]
     fn staged_store_clones_carry_their_deltas() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         store.stage_add_triples(vec![t("x", "p", "y")]);
@@ -1336,10 +1179,32 @@ mod tests {
     fn add_then_remove_roundtrips_to_original_contents() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         let before: Vec<_> = store.encoded_triples().collect();
-        store.add_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
-        store.remove_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.stage_add_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.compact_all();
+        store.stage_remove_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.compact_all();
         let after: Vec<_> = store.encoded_triples().collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn clones_share_untouched_tables_and_deltas() {
+        let mut store = TripleStore::from_triples(vec![t("a", "p", "b"), t("a", "q", "b")]);
+        store.stage_add_triples(vec![t("x", "p", "y")]);
+        let p = store.resolve_iri("p").unwrap();
+        let q = store.resolve_iri("q").unwrap();
+        let mut next = store.clone();
+        next.stage_add_triples(vec![t("z", "q", "w")]);
+        next.compact_pred(p);
+        // q's base and p's old delta are untouched in the original; the
+        // clone replaced exactly the handles it changed.
+        assert!(std::ptr::eq(store.table(q).unwrap(), next.table(q).unwrap()));
+        assert!(!std::ptr::eq(store.table(p).unwrap(), next.table(p).unwrap()));
+        assert_eq!(store.delta(p).unwrap().ins_pairs().len(), 1);
+        assert!(next.delta(p).is_none());
+        assert_eq!((store.num_triples(), next.num_triples()), (3, 4));
+        assert_eq!(store.resolve_iri("z"), None, "later terms stay invisible to the original");
+        assert!(store.__invariant_check() && next.__invariant_check());
     }
 
     // ------------------------------------------------------ partitioning

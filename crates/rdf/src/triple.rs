@@ -3,7 +3,7 @@
 use crate::term::Term;
 
 /// A Subject–Predicate–Object triple over raw [`Term`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// Subject (always an IRI in LUBM data).
     pub s: Term,

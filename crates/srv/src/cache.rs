@@ -1,8 +1,8 @@
 //! A byte-budgeted LRU cache for materialised query results.
 //!
-//! Keys are `(canonical query, catalog epoch)`: α-equivalent SPARQL
-//! strings share an entry, and bumping the engine's catalog epoch
-//! (invalidation) strands every old entry — stale results are never
+//! Keys are `(canonical query, store version sequence)`: α-equivalent
+//! SPARQL strings share an entry, and every committed version (or
+//! invalidation) strands every older entry — stale results are never
 //! served, and the strays age out through normal LRU eviction.
 
 use std::collections::{BTreeMap, HashMap};
@@ -12,7 +12,8 @@ use eh_query::CanonicalQuery;
 
 use crate::service::CachedResult;
 
-/// Cache key: canonical query plus the catalog epoch it was computed at.
+/// Cache key: canonical query plus the sequence number of the store
+/// version it was computed on.
 pub(crate) type ResultKey = (CanonicalQuery, u64);
 
 struct Entry {

@@ -14,7 +14,7 @@
 //!   one engine, a **plan cache** keyed by the
 //!   [canonical query form](eh_query::canonicalize) (α-equivalent SPARQL
 //!   strings plan once), and a byte-budgeted **LRU result cache** keyed
-//!   by canonical query + catalog epoch.
+//!   by canonical query + store version sequence.
 //! * [`serve`] — a threaded TCP front end speaking a line-delimited
 //!   protocol (`QUERY` / `PROFILE` / `METRICS` / `INSERT` / `DELETE` /
 //!   `APPLY` / `STATS` / `INVALIDATE` / `QUIT`), its session pool sized
@@ -25,10 +25,12 @@
 //!
 //! The store behind the service is **live**: `INSERT`/`DELETE` lines
 //! stage triples into a per-connection [`Session`] batch and `APPLY`
-//! pushes them through [`QueryService::update`], which invalidates only
-//! the changed predicates' tries and advances the epoch that keys the
-//! result cache — queries after an update are answered exactly as a cold
-//! engine over the new data would.
+//! pushes them through [`QueryService::update`], which commits the batch
+//! as the next immutable store version — untouched predicates keep their
+//! tries — and advances the version sequence (`epoch=` on the wire) that
+//! keys both caches. Every request pins one version, so answers after an
+//! update are exactly what a cold engine over the new data would give,
+//! and no answer ever mixes two versions.
 //!
 //! Determinism is load-bearing: cached, fresh-sequential, and
 //! fresh-parallel answers are all byte-identical, so a cache is never

@@ -134,7 +134,7 @@ impl ServiceMetrics {
                 .gauge("eh_result_cache_entries", "Entries currently held by the result cache"),
             plan_cache_entries: registry
                 .gauge("eh_plan_cache_entries", "Plans currently cached"),
-            epoch: registry.gauge("eh_catalog_epoch", "Current catalog epoch"),
+            epoch: registry.gauge("eh_catalog_epoch", "Sequence number of the newest store version"),
             staged_pairs: registry.gauge(
                 "eh_staged_pairs",
                 "Delta pairs (inserts + tombstones) resident in novelty overlays",

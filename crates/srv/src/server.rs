@@ -15,7 +15,7 @@
 //! | `APPLY` | `OK applied inserted=<n> deleted=<n> predicates=<n> compacted=<n> epoch=<n>` (staged batch applied atomically) |
 //! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into fresh base tables) |
 //! | `STATS` | `OK plan_hits=<n> plan_misses=<n> result_hits=<n> result_misses=<n> plan_entries=<n> cache_entries=<n> cache_bytes=<n> epoch=<n> updates=<n> updates_noop=<n> inserted=<n> deleted=<n> staged=<n> query_p50_us=<n> query_p99_us=<n> partitions=<n> max_shard_skew=<x.xx> load_mode=<mmap\|copy> mapped_bytes=<n> wal_seq=<n> wal_bytes=<n> wal_fsync_mode=<always\|never\|interval:<ms>\|off>` |
-//! | `INVALIDATE` | `OK epoch=<n>` (caches dropped, catalog epoch advanced) |
+//! | `INVALIDATE` | `OK epoch=<n>` (caches and cached tries dropped, version sequence advanced) |
 //! | `SAVE <path>` | `OK saved bytes=<n> triples=<n>` (snapshot written server-side; restart with `--snapshot <path>`; with a WAL attached, also truncates the log down to the new image) |
 //! | `REPLAY <path>` | `OK replayed records=<n> inserted=<n> deleted=<n> epoch=<n>` (a WAL file on the server's filesystem replayed through the update path — replica catch-up) |
 //! | `QUIT` | `OK bye`, then the connection closes |
@@ -48,6 +48,11 @@
 //! The applied counts reflect real change: inserting a resident triple or
 //! deleting an absent one counts zero and a fully no-op batch does not
 //! advance the epoch.
+//!
+//! `epoch=` in every reply is the sequence number of the newest committed
+//! store version: 0 at load, +1 per batch that changed something, per
+//! `COMPACT` that folded something, and per `INVALIDATE`. Each query runs
+//! entirely on one version, and cached answers are keyed by it.
 //!
 //! An applied batch stages its triples into per-predicate delta overlays
 //! (cost proportional to the batch, not the predicate); `compacted=` in
@@ -242,7 +247,7 @@ pub fn respond_in_session(service: &QueryService, session: &mut Session, line: &
                 r.replayed,
                 r.inserted,
                 r.deleted,
-                service.engine().catalog().epoch()
+                service.engine().catalog().seq()
             ),
             Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
         },

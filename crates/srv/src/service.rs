@@ -1,14 +1,14 @@
 //! The query service: one shared engine, two caches, many callers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use eh_query::{canonicalize, parse_sparql, CanonicalQuery, ConjunctiveQuery};
 use eh_rdf::TripleStore;
 use emptyheaded::{
-    Engine, EngineError, FsyncPolicy, LoadMode, Plan, PlannerConfig, QueryResult, SharedStore,
-    SnapshotError, UpdateBatch, UpdateSummary, WalError, WalRecovery,
+    Catalog, Engine, EngineError, FsyncPolicy, LoadMode, Plan, PlannerConfig, QueryResult,
+    SharedStore, SnapshotError, StoreRef, UpdateBatch, UpdateSummary, WalError, WalRecovery,
 };
 use std::collections::HashMap;
 
@@ -79,10 +79,12 @@ impl Default for ServiceConfig {
 }
 
 /// A cached plan: the canonical query it was built for (the engine
-/// executes this rebuilt form) plus the plan itself.
+/// executes this rebuilt form), the plan itself, and the store version
+/// whose statistics it was planned against.
 struct CachedPlan {
     query: ConjunctiveQuery,
     plan: Plan,
+    seq: u64,
 }
 
 /// The bounded plan store: map plus FIFO insertion order for eviction.
@@ -111,7 +113,8 @@ pub struct ServiceStats {
     pub result_cache_bytes: u64,
     /// Entries currently held by the result cache.
     pub result_cache_entries: u64,
-    /// Current catalog epoch.
+    /// Sequence number of the newest committed store version (`epoch=`
+    /// on the wire): +1 per applied batch, compaction or invalidation.
     pub epoch: u64,
     /// Update batches that actually changed data. No-op batches are
     /// counted separately in [`ServiceStats::updates_noop`], so apply
@@ -235,12 +238,17 @@ pub struct Answer {
 /// 1. the SPARQL text is parsed and [canonicalized](eh_query::canonicalize),
 ///    so α-equivalent query strings share one cache identity;
 /// 2. the **result cache** (LRU, byte-budgeted, keyed by canonical query +
-///    catalog epoch) is consulted;
+///    store version sequence) is consulted;
 /// 3. on a miss, the **plan cache** supplies (or planning builds) the
 ///    `Plan` for the canonical form — GHD enumeration and the fractional
-///    cover LP run once per query shape, not once per request;
+///    cover LP run once per query shape and version, not once per
+///    request;
 /// 4. the engine executes the plan on its configured runtime, and the
 ///    result is published to the cache.
+///
+/// Each request pins one store version before parsing and runs every
+/// step above against it, so its answer — cached or fresh — is exactly
+/// one committed state.
 ///
 /// Cached and freshly computed answers are byte-identical: a cached entry
 /// *is* the deterministic engine's output, and parallel execution is
@@ -319,10 +327,9 @@ impl QueryService {
 
     /// Persist the current store (and freshly frozen hot-order tries) to
     /// `path` — the protocol's `SAVE` verb. Returns the bytes written
-    /// and the triple count of the image. The store is cloned under its
-    /// read lock and serialized from the clone, so the image is a
-    /// consistent point in time and concurrent `APPLY` traffic is never
-    /// stalled behind trie freezing or file I/O.
+    /// and the triple count of the image. The image is one pinned store
+    /// version, so it is a consistent point in time and concurrent
+    /// `APPLY` traffic is never stalled behind trie freezing or file I/O.
     pub fn save_snapshot(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -340,7 +347,7 @@ impl QueryService {
     pub fn open_wal(&mut self, path: impl AsRef<std::path::Path>) -> Result<WalRecovery, WalError> {
         let recovery = self.engine.open_wal(path)?;
         if recovery.replayed > 0 {
-            // Replayed batches moved the epoch past anything cached.
+            // Replayed batches moved the version past anything cached.
             self.drop_derived_caches();
         }
         Ok(recovery)
@@ -377,8 +384,8 @@ impl QueryService {
         &self.engine
     }
 
-    /// Read access to the underlying store (short-lived guard).
-    pub fn store(&self) -> RwLockReadGuard<'_, TripleStore> {
+    /// The newest committed store, pinned while the handle is held.
+    pub fn store(&self) -> StoreRef {
         self.engine.store()
     }
 
@@ -390,11 +397,9 @@ impl QueryService {
     /// Parse, canonicalize, and answer a SPARQL query through the caches.
     pub fn query_sparql(&self, text: &str) -> Result<Answer, EngineError> {
         let t0 = self.config.record_metrics.then(Instant::now);
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        let out = self.query_inner(&q);
+        let version = self.engine.catalog();
+        let q = parse_sparql(text, version.store())?;
+        let out = self.query_inner(&version, &q);
         if let Some(t0) = t0 {
             self.record_query(t0, &out, Some(text));
         }
@@ -404,7 +409,7 @@ impl QueryService {
     /// Answer an already-built query through the caches.
     pub fn query(&self, q: &ConjunctiveQuery) -> Result<Answer, EngineError> {
         let t0 = self.config.record_metrics.then(Instant::now);
-        let out = self.query_inner(q);
+        let out = self.query_inner(&self.engine.catalog(), q);
         if let Some(t0) = t0 {
             self.record_query(t0, &out, None);
         }
@@ -439,12 +444,10 @@ impl QueryService {
         }
     }
 
-    fn query_inner(&self, q: &ConjunctiveQuery) -> Result<Answer, EngineError> {
+    fn query_inner(&self, version: &Catalog, q: &ConjunctiveQuery) -> Result<Answer, EngineError> {
         let columns: Vec<String> =
             q.projection().iter().map(|&v| q.var_name(v).to_string()).collect();
-        let canonical = canonicalize(q);
-        let epoch = self.engine.catalog().epoch();
-        let key = (canonical, epoch);
+        let key = (canonicalize(q), version.seq());
 
         if let Some(result) = self.results.lock().unwrap_or_else(PoisonError::into_inner).get(&key)
         {
@@ -453,9 +456,13 @@ impl QueryService {
         }
         self.result_misses.fetch_add(1, Ordering::Relaxed);
 
-        let (canonical, _) = key;
-        let (cached, plan_cache_hit) = self.plan_for(&canonical)?;
-        let result = Arc::new(CachedResult::new(self.engine.run_plan(&cached.query, &cached.plan)));
+        let (canonical, seq) = key;
+        let (cached, plan_cache_hit) = self.plan_for(version, &canonical)?;
+        let result = Arc::new(CachedResult::new(self.engine.run_plan_at(
+            version,
+            &cached.query,
+            &cached.plan,
+        )));
         // When the entry can be cached, render the protocol text now so
         // the budget charges what the entry actually holds — rendered
         // terms dominate the raw ids (LUBM IRIs are ~50 bytes per 4-byte
@@ -464,45 +471,52 @@ impl QueryService {
         // busts the budget skip rendering: they cannot be cached, and a
         // protocol caller will render lazily if it needs the text.
         let bytes = if result.approx_bytes() <= self.config.result_cache_bytes {
-            result.approx_bytes() + result.rendered_rows(&self.store()).len()
+            result.approx_bytes() + result.rendered_rows(version.store()).len()
         } else {
             result.approx_bytes()
         };
         self.results.lock().unwrap_or_else(PoisonError::into_inner).insert(
-            (canonical, epoch),
+            (canonical, seq),
             Arc::clone(&result),
             bytes,
         );
         Ok(Answer { columns, result, plan_cache_hit, result_cache_hit: false })
     }
 
-    /// The plan for a canonical query, from cache or built fresh. Two
-    /// racing builders may both plan; the first insert wins and both run
-    /// the same (deterministic) plan. The cache is FIFO-bounded by
+    /// The plan for a canonical query against `version`, from cache or
+    /// built fresh. An entry serves only the version it was planned
+    /// against: a plan embeds cardinality-driven decisions (GHD choice,
+    /// attribute order — and with it the byte-exact row order), so a
+    /// plan from another version's statistics is a miss. Two racing
+    /// builders may both plan; the first insert wins and both run the
+    /// same (deterministic) plan. The cache is FIFO-bounded by
     /// [`ServiceConfig::plan_cache_entries`].
-    fn plan_for(&self, canonical: &CanonicalQuery) -> Result<(Arc<CachedPlan>, bool), EngineError> {
-        if let Some(p) =
-            self.plans.read().unwrap_or_else(PoisonError::into_inner).map.get(canonical)
-        {
+    fn plan_for(
+        &self,
+        version: &Catalog,
+        canonical: &CanonicalQuery,
+    ) -> Result<(Arc<CachedPlan>, bool), EngineError> {
+        let cached = |plans: &PlanCache| {
+            plans.map.get(canonical).filter(|p| p.seq == version.seq()).map(Arc::clone)
+        };
+        if let Some(p) = cached(&self.plans.read().unwrap_or_else(PoisonError::into_inner)) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(p), true));
+            return Ok((p, true));
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let planned_epoch = self.engine.catalog().epoch();
         let query = canonical.to_query()?;
-        let plan = self.engine.plan(&query)?;
-        let entry = Arc::new(CachedPlan { query, plan });
+        let plan = self.engine.plan_at(version, &query)?;
+        let entry = Arc::new(CachedPlan { query, plan, seq: version.seq() });
         let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = plans.map.get(canonical) {
-            return Ok((Arc::clone(existing), false));
+        if let Some(existing) = cached(&plans) {
+            return Ok((existing, false));
         }
-        // Plan entries carry no epoch in their key, so an insert must not
-        // outlive the clear that [`QueryService::update`] performs: a
-        // plan computed from pre-update cardinalities (whose attribute
-        // order shapes the byte-exact row order) could otherwise be
-        // published into the post-update cache and served indefinitely.
-        // Planning is per-shape, so running this one uncached is cheap.
-        if self.engine.catalog().epoch() != planned_epoch {
+        // Another version's entry for this shape: replace it when older,
+        // keep it when newer (this request's version is already retired).
+        if let Some(other) = plans.map.get_mut(canonical) {
+            if other.seq < version.seq() {
+                *other = Arc::clone(&entry);
+            }
             return Ok((entry, false));
         }
         let cap = self.config.plan_cache_entries.max(1);
@@ -516,13 +530,13 @@ impl QueryService {
         Ok((entry, false))
     }
 
-    /// Drop every cached plan and result and advance the catalog epoch
-    /// (also clearing cached tries). In-flight queries keyed by the old
-    /// epoch may still publish stale entries; the epoch in the key keeps
-    /// them unreachable, and LRU pressure retires them.
+    /// Drop every cached plan and result and publish a fresh store
+    /// version (also dropping cached tries). In-flight queries pinned to
+    /// an older version may still publish entries; the version sequence
+    /// they carry keeps them unreachable, and LRU pressure retires them.
     pub fn invalidate(&self) -> u64 {
         self.drop_derived_caches();
-        self.engine.catalog().invalidate()
+        self.engine.invalidate()
     }
 
     /// Apply a batch of live updates through the engine and retire every
@@ -534,9 +548,9 @@ impl QueryService {
     /// embeds cardinality-driven decisions (GHD choice, attribute order)
     /// that the mutation may have shifted, and a materialised result can
     /// join across any predicate, so neither can be retained per
-    /// predicate. Old-epoch result entries would be unreachable anyway
-    /// (the epoch is in the key); clearing just frees their bytes now. A
-    /// batch that changes nothing leaves epoch and caches untouched.
+    /// predicate. Entries of older versions would be unreachable anyway
+    /// (the sequence is in the key); clearing just frees their bytes now.
+    /// A batch that changes nothing leaves version and caches untouched.
     pub fn update(&self, batch: UpdateBatch) -> UpdateSummary {
         let t0 = self.config.record_metrics.then(Instant::now);
         let summary = self.engine.update(batch);
@@ -585,7 +599,7 @@ impl QueryService {
     /// already runs inside [`Engine::update`]; this is the operator's
     /// explicit handle for reclaiming overlay memory (and restoring
     /// pure-base query speed) at a moment of their choosing. Folding
-    /// advances the epoch, so derived caches are retired; with nothing
+    /// publishes a new version, so derived caches are retired; with nothing
     /// staged this is a free no-op that touches neither.
     pub fn compact(&self) -> UpdateSummary {
         let t0 = self.config.record_metrics.then(Instant::now);
@@ -637,7 +651,7 @@ impl QueryService {
                 as u64,
             result_cache_bytes: bytes,
             result_cache_entries: entries,
-            epoch: self.engine.catalog().epoch(),
+            epoch: self.engine.catalog().seq(),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             updates_noop: self.updates_noop.load(Ordering::Relaxed),
             staged_pairs: self.store().staged_pairs() as u64,
@@ -668,7 +682,7 @@ impl QueryService {
     }
 
     /// Render the full metric exposition (Prometheus text format) — the
-    /// `METRICS` verb's payload. Cache-occupancy and epoch gauges are
+    /// `METRICS` verb's payload. Cache-occupancy and version gauges are
     /// synchronised from live state at scrape time; counters and
     /// histograms are whatever the recording paths accumulated.
     pub fn metrics_text(&self) -> String {
@@ -681,7 +695,7 @@ impl QueryService {
         self.metrics
             .plan_cache_entries
             .set(self.plans.read().unwrap_or_else(PoisonError::into_inner).map.len() as i64);
-        self.metrics.epoch.set(self.engine.catalog().epoch() as i64);
+        self.metrics.epoch.set(self.engine.catalog().seq() as i64);
         self.metrics.staged_pairs.set(self.store().staged_pairs() as i64);
         self.metrics.mapped_bytes.set(self.engine.load_info().map_or(0, |l| l.mapped_bytes) as i64);
         if let Some(w) = self.engine.wal_status() {
@@ -710,7 +724,8 @@ impl QueryService {
     /// plan it, execute it with full profiling, and render the plan with
     /// measured numbers. Deliberately bypasses the result cache — the
     /// point is to measure a real execution — but shares the service's
-    /// engine, so it profiles against the live store and warm tries.
+    /// engine, so it profiles against the newest version and its warm
+    /// tries.
     pub fn profile_sparql(&self, text: &str) -> Result<String, EngineError> {
         self.engine.explain_analyze_sparql(text)
     }

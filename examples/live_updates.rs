@@ -6,9 +6,10 @@
 //! ```
 //!
 //! `INSERT`/`DELETE` lines stage N-Triples into the connection's batch;
-//! `APPLY` applies the batch atomically — deletes first, then inserts —
-//! invalidating only the changed predicates' tries and advancing the
-//! epoch that retires cached plans and results.
+//! `APPLY` commits the batch atomically as the next store version —
+//! deletes first, then inserts — keeping every untouched predicate's
+//! tries and advancing the version sequence (`epoch=`) that retires
+//! cached plans and results.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};

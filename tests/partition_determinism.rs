@@ -7,6 +7,8 @@
 //! (subject-rooted plans) or through union operands in the multiway
 //! driver.
 
+use std::collections::BTreeSet;
+
 use wcoj_rdf::emptyheaded::{
     Engine, OptFlags, PlannerConfig, QueryResult, RuntimeConfig, SharedStore, UpdateBatch,
 };
@@ -29,6 +31,22 @@ fn partitioned(store: &TripleStore, p: usize) -> SharedStore {
     let mut s = store.clone();
     s.repartition(p);
     SharedStore::new(s)
+}
+
+/// A cold, unpartitioned store holding exactly the `model` triples. Its
+/// dictionary is first seeded with `terms` — every term in the order the
+/// live engines first encoded it — so raw ids, and therefore result
+/// bytes, are comparable with theirs.
+fn cold_store(terms: &[Term], model: &BTreeSet<Triple>) -> TripleStore {
+    let mut store = TripleStore::new();
+    for term in terms {
+        store.encode_term(term);
+    }
+    for triple in model {
+        store.insert(triple.clone());
+    }
+    store.commit();
+    store
 }
 
 fn engine(store: SharedStore, threads: usize) -> Engine {
@@ -106,14 +124,15 @@ fn shard_local_and_union_paths_are_partition_deterministic() {
 /// the cached repeat of each answer.
 #[test]
 fn interleaved_updates_stay_byte_identical_across_partitions() {
-    let base = TripleStore::from_triples(vec![
+    let base_triples = vec![
         t("a", "edge", "b"),
         t("b", "edge", "c"),
         t("a", "edge", "c"),
         t("c", "edge", "d"),
         t("a", "kind", "thing"),
         t("b", "kind", "thing"),
-    ]);
+    ];
+    let base = TripleStore::from_triples(base_triples.clone());
     // (inserts, deletes) per step; every engine sees the same script, so
     // dictionaries (and thus raw ids) stay aligned across all of them.
     let steps: Vec<(Vec<Triple>, Vec<Triple>)> = vec![
@@ -127,13 +146,20 @@ fn interleaved_updates_stay_byte_identical_across_partitions() {
     for threads in [1usize, 4] {
         let engines: Vec<Engine> =
             PARTITIONS.iter().map(|&p| engine(partitioned(&base, p), threads)).collect();
-        let mut ref_store = base.clone();
+        let terms_of = |triples: &[Triple]| -> Vec<Term> {
+            triples.iter().flat_map(|t| [t.s.clone(), t.p.clone(), t.o.clone()]).collect()
+        };
+        let mut model: BTreeSet<Triple> = base_triples.iter().cloned().collect();
+        let mut terms = terms_of(&base_triples);
         for (step, (inserts, deletes)) in steps.iter().enumerate() {
             // Engine batches delete first, then insert (SPARQL Update
-            // convention) — mirror that order in the eager reference.
-            ref_store.remove_triples(deletes.clone());
-            ref_store.add_triples(inserts.clone());
-            let cold = Engine::new(SharedStore::new(ref_store.clone()), OptFlags::all());
+            // convention) — mirror that order in the set model.
+            for d in deletes {
+                model.remove(d);
+            }
+            model.extend(inserts.iter().cloned());
+            terms.extend(terms_of(inserts));
+            let cold = Engine::new(SharedStore::new(cold_store(&terms, &model)), OptFlags::all());
             for (e, &p) in engines.iter().zip(PARTITIONS.iter()) {
                 let mut batch = UpdateBatch::new();
                 batch.inserts = inserts.clone();

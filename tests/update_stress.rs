@@ -4,10 +4,10 @@
 //! applied through the TCP protocol, a repeated query returns results
 //! **byte-identical** to a cold engine built from the post-update triple
 //! set — on the cached, sequential, and parallel paths — while untouched
-//! predicates keep their tries (no gratuitous rebuild). A writer/reader
-//! stress run exercises the same machinery under contention; the
-//! deterministic stale-trie race regression itself lives next to
-//! `Catalog` in `emptyheaded`.
+//! predicates keep their tries (no gratuitous rebuild). Writer/reader
+//! stress runs exercise the same machinery under contention: every
+//! answer must reflect exactly one committed store version, and a held
+//! store handle must pin its version without blocking writers.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -656,4 +656,147 @@ fn lubm_store_survives_update_cycles() {
     };
     assert_eq!(after, cold, "post-update LUBM answer equals a cold engine's");
     assert_ne!(after, before, "Q14 must see the new undergraduate");
+}
+
+// ---------------------------------------------------------------------
+// Read consistency: every answer reflects exactly one committed state.
+// ---------------------------------------------------------------------
+
+/// Chains in the torn-read store: `x{i} <p> y{i}`, `y{i} <q> <z>`.
+const CHAINS: usize = 32;
+
+/// Middle of chain `i` after the first `k` writer batches: batch `j`
+/// moves chain `j % CHAINS` to the fresh middle `w{j}`.
+fn chain_middle(i: usize, k: usize) -> String {
+    match (0..k).rev().find(|j| j % CHAINS == i) {
+        Some(j) => format!("w{j}"),
+        None => format!("y{i}"),
+    }
+}
+
+/// Writer batch `k`: move chain `k % CHAINS` off its current middle onto
+/// `w{k}`, in both predicates at once.
+fn move_chain(k: usize) -> UpdateBatch {
+    let i = k % CHAINS;
+    let (x, old) = (format!("x{i}"), chain_middle(i, k));
+    let fresh = format!("w{k}");
+    let mut b = UpdateBatch::new();
+    b.delete(t(&x, "p", &old)).delete(t(&old, "q", "z"));
+    b.insert(t(&x, "p", &fresh)).insert(t(&fresh, "q", "z"));
+    b
+}
+
+/// Raises the flag when dropped — also while unwinding, so a failing
+/// reader stops the writer it runs beside instead of leaving it running.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Torn-read regression: a writer with no pause moves one chain per
+/// batch, changing `p` and `q` together, so every committed state
+/// answers `?x <p> ?y . ?y <q> <z>` with exactly `CHAINS` rows whose
+/// middles all belong to one prefix of the batch stream. A join that
+/// mixed tries of adjacent versions would lose or duplicate a chain.
+/// Each answer must match the prefix its newest middle names, and that
+/// prefix must lie between the batches acknowledged before the read and
+/// those committed by its end (at most one past the acknowledged count).
+#[test]
+fn readers_only_ever_see_one_committed_prefix() {
+    use std::sync::atomic::AtomicUsize;
+    const READS: usize = 150;
+    let q = "SELECT ?x ?y WHERE { ?x <p> ?y . ?y <q> <z> }";
+    let base: Vec<Triple> = (0..CHAINS)
+        .flat_map(|i| [t(&format!("x{i}"), "p", &format!("y{i}")), t(&format!("y{i}"), "q", "z")])
+        .collect();
+    for threads in [1usize, 2] {
+        for partitions in [1usize, 4] {
+            let label = format!("threads={threads} partitions={partitions}");
+            let engine = Engine::with_config(
+                SharedStore::new(TripleStore::from_triples_partitioned(base.clone(), partitions)),
+                PlannerConfig::with_flags(OptFlags::all()).with_threads(threads),
+            );
+            let (acked, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut k = 0;
+                    while !done.load(Ordering::Acquire) {
+                        engine.update(move_chain(k));
+                        k += 1;
+                        acked.store(k, Ordering::Release);
+                    }
+                });
+                let _stop = StopOnDrop(&done);
+                for _ in 0..READS {
+                    let lo = acked.load(Ordering::Acquire);
+                    let answer = engine.run_sparql(q).unwrap();
+                    let hi = acked.load(Ordering::Acquire);
+                    let store = engine.store();
+                    let mut rows: Vec<(usize, String)> = (0..answer.cardinality())
+                        .map(|r| {
+                            let row = answer.decode_row(&store, r);
+                            (row[0].as_str()[1..].parse().unwrap(), row[1].as_str().to_string())
+                        })
+                        .collect();
+                    rows.sort();
+                    let k = rows
+                        .iter()
+                        .filter_map(|(_, m)| m.strip_prefix('w')?.parse::<usize>().ok())
+                        .max()
+                        .map_or(0, |newest| newest + 1);
+                    let expected: Vec<(usize, String)> =
+                        (0..CHAINS).map(|i| (i, chain_middle(i, k))).collect();
+                    assert_eq!(rows, expected, "{label}: answer matches no committed prefix");
+                    assert!(lo <= k && k <= hi + 1, "{label}: prefix {k} outside [{lo}, {hi}]");
+                }
+            });
+        }
+    }
+}
+
+/// Snapshot isolation: a held store handle pins its version. An APPLY
+/// running meanwhile completes without waiting for the handle, the held
+/// handle keeps showing the pre-APPLY contents, and a fresh handle shows
+/// the new ones.
+#[test]
+fn a_held_store_handle_pins_its_version_without_blocking_writers() {
+    use std::sync::{mpsc, Arc};
+    let engine = Arc::new(Engine::new(SharedStore::from_triples(base_triples()), OptFlags::all()));
+    let held = engine.store();
+    let (tx, rx) = mpsc::channel();
+    let writer = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let mut batch = UpdateBatch::new();
+            batch.insert(t("x", "edge", "y")).delete(t("a", "edge", "b"));
+            tx.send(engine.update(batch).inserted).unwrap();
+        })
+    };
+    let inserted = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("APPLY must complete while a store handle is held");
+    assert_eq!(inserted, 1);
+    writer.join().unwrap();
+
+    let edges = |store: &TripleStore| {
+        let mut pairs: Vec<(String, String)> = store
+            .encoded_triples()
+            .map(|e| store.decode_triple(e))
+            .filter(|tr| tr.p.as_str() == "edge")
+            .map(|tr| (tr.s.as_str().to_string(), tr.o.as_str().to_string()))
+            .collect();
+        pairs.sort();
+        pairs
+    };
+    let pair = |s: &str, o: &str| (s.to_string(), o.to_string());
+    let old = edges(&held);
+    assert_eq!(old.len(), 4);
+    assert!(old.contains(&pair("a", "b")) && !old.contains(&pair("x", "y")));
+    assert_eq!(held.resolve_iri("x"), None, "terms of later versions stay invisible");
+    let new = edges(&engine.store());
+    assert_eq!(new.len(), 4);
+    assert!(!new.contains(&pair("a", "b")) && new.contains(&pair("x", "y")));
 }
